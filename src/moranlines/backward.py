@@ -20,7 +20,8 @@ space so that equal behaviour means equal hash.
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass, field
+import functools
+from dataclasses import dataclass
 
 from .model import ModelParams, ParamError, validate_params
 
@@ -59,22 +60,24 @@ class BpState:
     marks: tuple
     active: tuple
     d: int
-    # derived, excluded from identity
-    blocks: tuple = field(default=(), compare=False, repr=False)
-    act_sites: tuple = field(default=(), compare=False, repr=False)
 
-    def __post_init__(self):
+    # derived views, computed on first read: most states built while
+    # enumerating duplicate an indexed state and are never read
+    @functools.cached_property
+    def blocks(self) -> tuple:
+        """(type, site, member positions) per block, sorted by site."""
         by_value = {}
         for pos, val in enumerate(self.marks):
             by_value.setdefault(val, []).append(pos)
-        blocks = tuple(
-            (val[0], val[1], tuple(members))
-            for val, members in sorted(by_value.items(), key=lambda kv: kv[0][1])
-        )
-        occupied = {val[1] for val in by_value}
-        act = tuple(i for i in range(len(self.active)) if i not in occupied)
-        object.__setattr__(self, "blocks", blocks)
-        object.__setattr__(self, "act_sites", act)
+        return tuple((val[0], val[1], tuple(members))
+                     for val, members in sorted(by_value.items(),
+                                                key=lambda kv: kv[0][1]))
+
+    @functools.cached_property
+    def act_sites(self) -> tuple:
+        """Sites not occupied by a block, in increasing order."""
+        occupied = {val[1] for val in self.marks}
+        return tuple(i for i in range(len(self.active)) if i not in occupied)
 
     @property
     def N(self) -> int:
@@ -138,16 +141,18 @@ def _replace_marks(s: BpState, positions, new_value):
 
 
 def _with(s: BpState, marks=None, active_updates=None) -> BpState:
-    marks = s.marks if marks is None else marks
     active = list(s.active)
     if active_updates:
         for i, sub in active_updates.items():
             active[i] = sub
-    # renormalize occupied sites (the set of occupied sites may have moved)
-    occupied = {val[1] for val in marks}
-    full = _full(s.d)
-    for i in occupied:
-        active[i] = full
+    if marks is None:
+        # the occupied sites stay put, and updates touch only active sites
+        marks = s.marks
+    else:
+        # renormalize occupied sites (the set of occupied sites may have moved)
+        full = _full(s.d)
+        for (_u, i) in marks:
+            active[i] = full
     return BpState(j_sites=s.j_sites, marks=marks, active=tuple(active), d=s.d)
 
 

@@ -11,7 +11,8 @@ from counter-based streams keyed (seed, replicate index), and worker
 count never changes results.
 
 Exit codes: 0 success, 2 validation failure, 3 exceeded numerical or
-state budget.
+state budget, 4 numerical failure (a solver failed or a computed
+identity, such as the harmonic check of h, missed its tolerance).
 """
 from __future__ import annotations
 
@@ -19,6 +20,7 @@ import argparse
 import csv
 import hashlib
 import json
+import math
 import os
 import sys
 import tempfile
@@ -37,9 +39,8 @@ from .forward import (genealogical_distance, init_forest,
                       neutral_pair_distance_samples, run_until)
 from .transformed import (first_coalescence_time, make_inhomogeneous_kernel,
                           sample_conditioned_lines, sample_config)
-from .reduced import (CatChainSpec, DistChainSpec, Y_STATES, cat_chain_vs_bp,
-                      cat_equilibrium, dist_chain_vs_bp, dist_survival,
-                      dist_taylor_coeffs)
+from .reduced import (CatChainSpec, DistChainSpec, Y_STATES, cat_equilibrium,
+                      chains_vs_bp, dist_survival, dist_taylor_coeffs)
 
 __all__ = ["ExperimentConfig", "RunManifest", "load_config", "run_experiment",
            "emit_plotdata", "main"]
@@ -110,6 +111,8 @@ def resolve_config(raw: dict, experiment: str, seed=None, out=None,
     model = _model_from(raw)
     horizon = float(raw.get("horizon", 1.0))
     times = tuple(float(t) for t in raw.get("times", ()))
+    if not all(math.isfinite(t) for t in (horizon, *times)):
+        raise ParamError("horizon and times must be finite")
     if any(t2 <= t1 for t1, t2 in zip(times, times[1:])):
         raise ParamError("time grid must be strictly increasing")
     replicates = int(raw.get("replicates", 1))
@@ -410,20 +413,13 @@ def _exp_taylor(cfg: ExperimentConfig, out: str) -> list:
 
 def _exp_cross_check(cfg: ExperimentConfig, out: str) -> list:
     p = cfg.model
-    times = cfg.times or (0.5, 1.0)
-    rows = []
-    plot = []
-    for t in times:
-        cat = cat_chain_vs_bp(p, t)
-        rows.append(("cat", t, cat.max_gap))
-        plot.append(("cross-check-gap", t, cat.max_gap))
-        if p.N >= 3:
-            dist = dist_chain_vs_bp(p, t)
-            rows.append(("dist", t, dist.max_gap))
-            plot.append(("cross-check-gap", t, dist.max_gap))
+    chains = ("cat", "dist") if p.N >= 3 else ("cat",)
+    reports = chains_vs_bp(p, cfg.times or (0.5, 1.0), chains)
     _write_csv(os.path.join(out, "crosscheck.csv"),
-               ("chain", "t", "max_gap"), rows)
-    emit_plotdata(os.path.join(out, "plotdata.csv"), plot)
+               ("chain", "t", "max_gap"),
+               [(r.chain, r.t, r.max_gap) for r in reports])
+    emit_plotdata(os.path.join(out, "plotdata.csv"),
+                  [("cross-check-gap", r.t, r.max_gap) for r in reports])
     return ["crosscheck.csv", "plotdata.csv"]
 
 
@@ -481,6 +477,9 @@ def main(argv=None) -> int:
     except BudgetError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return 3
+    except ArithmeticError as exc:
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return 4
     print(f"wrote {cfg.out_dir}/manifest.csv "
           f"(config {manifest.config_hash[:12]}, "
           f"{len(manifest.checksums)} outputs)")

@@ -128,24 +128,19 @@ def build_bp_generator(p: ModelParams, starts, with_fk: bool = True,
             index[s] = len(states)
             states.append(s)
             queue.append(s)
-    adj = {}
+    entries = {}
     while queue:
         s = queue.popleft()
-        trans = enumerate_transitions(s, p)
-        adj[index[s]] = trans
-        for tr in trans:
-            if tr.target not in index:
+        r = index[s]
+        for tr in enumerate_transitions(s, p):
+            c = index.get(tr.target)
+            if c is None:
                 if len(states) >= cap:
                     raise BudgetError("exact solve infeasible")
-                index[tr.target] = len(states)
+                c = index[tr.target] = len(states)
                 states.append(tr.target)
                 queue.append(tr.target)
-
-    entries = {}
-    for r, trans in adj.items():
-        for tr in trans:
-            key = (r, index[tr.target])
-            entries[key] = entries.get(key, 0.0) + tr.rate
+            entries[(r, c)] = entries.get((r, c), 0.0) + tr.rate
     n = len(states)
     fk = np.array([feynman_kac_V(s, p) for s in states]) if with_fk else None
     return GeneratorMatrix(states=tuple(states), index=index,
@@ -271,50 +266,48 @@ def _configs_array(type_gen: GeneratorMatrix) -> np.ndarray:
     return np.array(type_gen.states, dtype=np.int64)
 
 
+def _duality(p: ModelParams, mu, starts, times, type_gen: GeneratorMatrix,
+             bp_gen: GeneratorMatrix) -> list:
+    """Both sides of the moment identity for every start and time, one
+    semigroup pass per side and time.
+
+    Left side: evolve the law mu of the types for time t and average each
+    start's indicator against it.  Right side: evolve the indicators'
+    time-zero averages under the weighted backward semigroup and read
+    each start's entry.
+    """
+    configs_arr = _configs_array(type_gen)
+    mu_vec = config_law_vector(p, mu, type_gen.states)
+    masks = np.array([h_star_vector(s, configs_arr, p.d)
+                      for s in bp_gen.states], dtype=float)
+    rows = [bp_gen.index[s] for s in starts]
+    g0 = masks @ mu_vec
+    lhs = [masks[rows] @ expm_apply(type_gen, mu_vec, t, transpose=True)
+           for t in times]
+    rhs = [expm_apply(bp_gen, g0, t)[rows] for t in times]
+    return [DualityReport(start=start, t=t, lhs=float(lhs[m][k]),
+                          rhs=float(rhs[m][k]))
+            for k, start in enumerate(starts) for m, t in enumerate(times)]
+
+
 def check_duality(p: ModelParams, start: BpState, mu, t: float,
                   type_gen: GeneratorMatrix | None = None,
                   bp_gen: GeneratorMatrix | None = None) -> DualityReport:
-    """Both sides of the moment identity at a single start state and time.
-
-    Left side: evolve the types for time t from law mu and average the
-    indicator of the start state.  Right side: evolve the indicator's
-    time-zero average under the weighted backward semigroup from the
-    start state.
-    """
+    """Both sides of the moment identity at a single start state and time."""
     if type_gen is None:
         type_gen = build_type_generator(p)
     if bp_gen is None:
         bp_gen = build_bp_generator(p, start, with_fk=True)
-    configs_arr = _configs_array(type_gen)
-    mu_vec = config_law_vector(p, mu, type_gen.states)
-
-    g = h_star_vector(start, configs_arr, p.d).astype(float)
-    lhs = float(mu_vec @ expm_apply(type_gen, g, t))
-
-    g0 = np.array([h_star_vector(s, configs_arr, p.d) @ mu_vec
-                   for s in bp_gen.states])
-    rhs = float(expm_apply(bp_gen, g0, t)[bp_gen.index[start]])
-    return DualityReport(start=start, t=t, lhs=lhs, rhs=rhs)
+    return _duality(p, mu, [start], [t], type_gen, bp_gen)[0]
 
 
 def duality_reports(p: ModelParams, mu, starts, times) -> list:
     """check_duality over many starts and times, sharing the type generator
-    and, per start, the backward generator and its initial averages."""
-    type_gen = build_type_generator(p)
-    configs_arr = _configs_array(type_gen)
-    mu_vec = config_law_vector(p, mu, type_gen.states)
-    out = []
-    for start in starts:
-        bp_gen = build_bp_generator(p, start, with_fk=True)
-        g = h_star_vector(start, configs_arr, p.d).astype(float)
-        g0 = np.array([h_star_vector(s, configs_arr, p.d) @ mu_vec
-                       for s in bp_gen.states])
-        row = bp_gen.index[start]
-        for t in times:
-            lhs = float(mu_vec @ expm_apply(type_gen, g, t))
-            rhs = float(expm_apply(bp_gen, g0, t)[row])
-            out.append(DualityReport(start=start, t=t, lhs=lhs, rhs=rhs))
-    return out
+    and one backward generator over the union of the starts' reachable
+    sets; reports run over starts, then times."""
+    starts = list(starts)
+    return _duality(p, mu, starts, times, build_type_generator(p),
+                    build_bp_generator(p, starts, with_fk=True))
 
 
 def compute_h(p: ModelParams, gen: GeneratorMatrix, law=None,

@@ -74,18 +74,19 @@ def validate_params(p: ModelParams) -> ModelParams:
         raise ParamError("population size must be a positive integer")
     if not isinstance(p.d, int) or p.d < 2:
         raise ParamError("type count must be an integer >= 2")
-    if p.B < 0:
-        raise ParamError("mutation rate must be nonnegative")
+    if not (math.isfinite(p.B) and p.B >= 0):
+        raise ParamError("mutation rate must be finite and nonnegative")
     if len(p.b) != p.d or any(len(row) != p.d for row in p.b):
         raise ParamError("row not stochastic")
+    # the comparisons below are phrased so that NaN fails them
     for row in p.b:
-        if any(x < 0 for x in row) or abs(sum(row) - 1.0) > 1e-12:
+        if not all(x >= 0 for x in row) or not abs(sum(row) - 1.0) <= 1e-12:
             raise ParamError("row not stochastic")
     if len(p.chi) != p.d:
         raise ParamError("chi not strictly increasing from 0 to 1")
     if p.chi[0] != 0.0 or p.chi[-1] != 1.0:
         raise ParamError("chi not strictly increasing from 0 to 1")
-    if any(p.chi[u + 1] <= p.chi[u] for u in range(p.d - 1)):
+    if not all(p.chi[u + 1] > p.chi[u] for u in range(p.d - 1)):
         raise ParamError("chi not strictly increasing from 0 to 1")
     if not (0.0 <= p.S <= p.N):
         raise ParamError("selection out of range")

@@ -42,6 +42,7 @@ __all__ = [
     "dist_generator",
     "cat_equilibrium",
     "cat_chain_vs_bp",
+    "chains_vs_bp",
     "dist_survival",
     "dist_taylor_coeffs",
     "lemma_ode_residual",
@@ -316,8 +317,9 @@ def cat_equilibrium(spec: CatChainSpec, n_max: int = 32,
 
 # --- comparisons against the lumped conditioned backward chain ---------
 
-def _transformed_generator(p: ModelParams, starts, law) -> tuple:
-    """(raw weighted generator, conservative reweighted generator, h)."""
+def _transformed_generator(p: ModelParams, starts, law) -> GeneratorMatrix:
+    """Conservative h-reweighted backward generator on the set reachable
+    from starts."""
     gen = build_bp_generator(p, starts, with_fk=True)
     h = compute_h(p, gen, law=law)
     scaled = sparse.diags(1.0 / h) @ gen.Q @ sparse.diags(h)
@@ -326,8 +328,7 @@ def _transformed_generator(p: ModelParams, starts, law) -> tuple:
     scaled = scaled.tocsr()
     diag = -np.asarray(scaled.sum(axis=1)).ravel()
     Qh = (scaled + sparse.diags(diag)).tocsr()
-    gen_h = GeneratorMatrix(states=gen.states, index=gen.index, Q=Qh)
-    return gen, gen_h, h
+    return GeneratorMatrix(states=gen.states, index=gen.index, Q=Qh)
 
 
 def _pinned_count(s) -> int:
@@ -361,81 +362,78 @@ class ChainVsBpReport:
     details: tuple = ()
 
 
-def cat_chain_vs_bp(p: ModelParams, t: float) -> ChainVsBpReport:
-    """Exact comparison: the ancestor-type chain's time-t law from each
-    start (u, 0) must equal the conditioned backward chain's law lumped
-    by (mark, pinned count)."""
+# start label -> types tagged at sites 0, 1, ...; a chain starts at (label, 0)
+_CHAIN_STARTS = {
+    "cat": {0: (0,), 1: (1,)},
+    "dist": {"00": (0, 0), "11": (1, 1), "01": (0, 1)},
+}
+
+
+def _unit(gen: GeneratorMatrix, state) -> np.ndarray:
+    v = np.zeros(gen.n)
+    v[gen.index[state]] = 1.0
+    return v
+
+
+def chains_vs_bp(p: ModelParams, times, chains=("cat", "dist")) -> list:
+    """Exact comparison: from each start, a reduced chain's time-t law must
+    equal the conditioned backward chain's law lumped by the chain's key,
+    (mark, pinned count) for the ancestor-type chain and (pair class,
+    pinned count) for the pair chain, whose absorbing class collects
+    every coalesced backward state.
+
+    One conditioned generator over the union of all starts serves every
+    chain and time; reports run over times, then chains.
+    """
     validate_params(p)
+    if "dist" in chains and p.N < 3:
+        raise ParamError("population of at least three required")
     law = finite_stationary_law(p)
-    starts = [canonical_start(p, {0: u}) for u in (0, 1)]
-    _, gen_h, _ = _transformed_generator(p, starts, law)
-    spec = CatChainSpec.finite_n(p, law=law)
-    cgen = cat_generator(spec)
+    setups = []
+    for name in chains:
+        if name == "cat":
+            cgen = cat_generator(CatChainSpec.finite_n(p, law=law))
+        else:
+            cgen = dist_generator(DistChainSpec.finite_n(p, law=law))
+        starts = {lab: canonical_start(p, dict(enumerate(types)))
+                  for lab, types in _CHAIN_STARTS[name].items()}
+        setups.append((name, cgen, starts))
+    gen_h = _transformed_generator(
+        p, [s for *_, starts in setups for s in starts.values()], law)
 
-    max_gap = 0.0
-    details = []
-    for u, start in zip((0, 1), starts):
-        delta = np.zeros(gen_h.n)
-        delta[gen_h.index[start]] = 1.0
-        pi_bp = expm_apply(gen_h, delta, t, transpose=True)
-        lumped = {}
-        for k, s in enumerate(gen_h.states):
-            key = _cat_key(s)
-            lumped[key] = lumped.get(key, 0.0) + pi_bp[k]
+    lumps = []
+    for name, cgen, _starts in setups:
+        key = _cat_key if name == "cat" else _dist_key
+        # lumped classes missing from the chain get slots past its states
+        slots = dict(cgen.index)
+        lumps.append((np.array([slots.setdefault(key(s), len(slots))
+                                for s in gen_h.states]), len(slots)))
+    out = []
+    for t in times:
+        for (name, cgen, starts), (lump, n_slots) in zip(setups, lumps):
+            details = []
+            for lab, start in starts.items():
+                pi_bp = expm_apply(gen_h, _unit(gen_h, start), t,
+                                   transpose=True)
+                pi_c = np.zeros(n_slots)
+                pi_c[:cgen.n] = expm_apply(cgen, _unit(cgen, (lab, 0)), t,
+                                           transpose=True)
+                lumped = np.bincount(lump, weights=pi_bp, minlength=n_slots)
+                details.append((lab, float(np.max(np.abs(pi_c - lumped)))))
+            out.append(ChainVsBpReport(
+                chain=name, t=t, max_gap=max(g for _, g in details),
+                details=tuple(details)))
+    return out
 
-        delta_c = np.zeros(cgen.n)
-        delta_c[cgen.index[(u, 0)]] = 1.0
-        pi_c = expm_apply(cgen, delta_c, t, transpose=True)
 
-        gap = 0.0
-        for k, st in enumerate(cgen.states):
-            gap = max(gap, abs(pi_c[k] - lumped.pop(st, 0.0)))
-        for leftover in lumped.values():
-            gap = max(gap, abs(leftover))
-        details.append((u, gap))
-        max_gap = max(max_gap, gap)
-    return ChainVsBpReport(chain="cat", t=t, max_gap=max_gap,
-                           details=tuple(details))
+def cat_chain_vs_bp(p: ModelParams, t: float) -> ChainVsBpReport:
+    """chains_vs_bp for the ancestor-type chain at a single time."""
+    return chains_vs_bp(p, (t,), ("cat",))[0]
 
 
 def dist_chain_vs_bp(p: ModelParams, t: float) -> ChainVsBpReport:
-    """Same comparison for the pair chain, with every coalesced backward
-    state lumped into the absorbing class."""
-    validate_params(p)
-    if p.N < 3:
-        raise ParamError("population of at least three required")
-    law = finite_stationary_law(p)
-    marks = {"00": (0, 0), "11": (1, 1), "01": (0, 1)}
-    starts = {y: canonical_start(p, {0: uv[0], 1: uv[1]})
-              for y, uv in marks.items()}
-    _, gen_h, _ = _transformed_generator(p, list(starts.values()), law)
-    spec = DistChainSpec.finite_n(p, law=law)
-    dgen = dist_generator(spec, with_absorbed=True)
-
-    max_gap = 0.0
-    details = []
-    for y, start in starts.items():
-        delta = np.zeros(gen_h.n)
-        delta[gen_h.index[start]] = 1.0
-        pi_bp = expm_apply(gen_h, delta, t, transpose=True)
-        lumped = {}
-        for k, s in enumerate(gen_h.states):
-            key = _dist_key(s)
-            lumped[key] = lumped.get(key, 0.0) + pi_bp[k]
-
-        delta_c = np.zeros(dgen.n)
-        delta_c[dgen.index[(y, 0)]] = 1.0
-        pi_c = expm_apply(dgen, delta_c, t, transpose=True)
-
-        gap = 0.0
-        for k, st in enumerate(dgen.states):
-            gap = max(gap, abs(pi_c[k] - lumped.pop(st, 0.0)))
-        for leftover in lumped.values():
-            gap = max(gap, abs(leftover))
-        details.append((y, gap))
-        max_gap = max(max_gap, gap)
-    return ChainVsBpReport(chain="dist", t=t, max_gap=max_gap,
-                           details=tuple(details))
+    """chains_vs_bp for the pair chain at a single time."""
+    return chains_vs_bp(p, (t,), ("dist",))[0]
 
 
 # --- survival of the pair chain ----------------------------------------

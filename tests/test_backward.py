@@ -1,6 +1,7 @@
 """Backward marked-partition chain: transitions, weights, paths, reversal."""
 
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -291,6 +292,46 @@ def _random_state(rng, N, d):
         size = int(rng.integers(1, d + 1))
         active.append(tuple(sorted(rng.choice(d, size=size, replace=False).tolist())))
     return make_state(j_sites, marks, active, d)
+
+
+def _eager_views(s):
+    """Reference derivation of a state's blocks and active sites."""
+    by_value = {}
+    for pos, val in enumerate(s.marks):
+        by_value.setdefault(val, []).append(pos)
+    blocks = tuple((u, site, tuple(members))
+                   for (u, site), members in sorted(by_value.items(),
+                                                    key=lambda kv: kv[0][1]))
+    occupied = {site for (_u, site) in by_value}
+    return blocks, tuple(i for i in range(len(s.active)) if i not in occupied)
+
+
+def test_derived_views_match_eager_reference():
+    rng = philox(91, 4)
+    for _ in range(300):
+        N = int(rng.integers(2, 6))
+        d = int(rng.integers(2, 4))
+        s = _random_state(rng, N, d)
+        assert (s.blocks, s.act_sites) == _eager_views(s)
+        for tr in enumerate_transitions(s, mk(N, d=d, S=1.0)):
+            assert (tr.target.blocks, tr.target.act_sites) == \
+                _eager_views(tr.target)
+
+
+def test_state_hash_and_pickle_round_trip():
+    rng = philox(91, 5)
+    for _ in range(100):
+        N = int(rng.integers(2, 6))
+        d = int(rng.integers(2, 4))
+        s = _random_state(rng, N, d)
+        twin = make_state(s.j_sites, s.marks, s.active, s.d)
+        assert twin == s and hash(twin) == hash(s)
+        assert hash(s) == hash((s.j_sites, s.marks, s.active, s.d))
+        _ = (s.blocks, s.act_sites)  # the pickle then carries the views
+        back = pickle.loads(pickle.dumps(s))
+        assert back == s and hash(back) == hash(s)
+        assert (back.blocks, back.act_sites) == (s.blocks, s.act_sites)
+        assert {s: 1}[back] == 1
 
 
 def _walk(p, starts, steps, rng, on_new_state=None, track_taken=None):

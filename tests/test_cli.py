@@ -11,7 +11,7 @@ import json
 import numpy as np
 import pytest
 
-from moranlines import ParamError
+from moranlines import ParamError, cli
 from moranlines.cli import (config_hash, emit_plotdata, load_config, main,
                             resolve_config)
 
@@ -159,6 +159,13 @@ BAD_CASES = [
      {**DUALITY_CFG, "experiment": "cross-check"}, "mismatch"),
     ("nu_length",
      {**DUALITY_CFG, "nu": [0.2, 0.3, 0.5]}, "one weight per type"),
+    ("nan_times",
+     {**DUALITY_CFG, "times": [0.5, float("nan")]}, "must be finite"),
+    ("inf_horizon",
+     {**DUALITY_CFG, "horizon": float("inf")}, "must be finite"),
+    ("nan_B",
+     {**DUALITY_CFG, "model": {**DUALITY_CFG["model"], "B": float("nan")}},
+     "mutation rate"),
     ("flat_b_length",
      {"model": {"N": 3, "d": 2, "B": 0.8, "S": 1.0,
                 "b": [0.5, 0.5, 0.5], "chi": [0.0, 1.0]}},
@@ -203,6 +210,21 @@ def test_state_budget_exit_3(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("budget exceeded:")
     assert "exact solve infeasible" in err
+    assert not (out / "manifest.csv").exists()
+
+
+def test_numerical_failure_exit_4(tmp_path, capsys, monkeypatch):
+    def fail(cfg, out):
+        raise ArithmeticError("harmonic residual 1.0e-03 exceeds 1.0e-08")
+
+    monkeypatch.setitem(cli._RUNNERS, "duality-sweep", fail)
+    cfg = write_cfg(tmp_path / "cfg.json", DUALITY_CFG)
+    out = tmp_path / "out"
+    rc = main(["duality-sweep", "--config", cfg, "--out", str(out)])
+    assert rc == 4
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: harmonic residual")
+    assert "Traceback" not in err
     assert not (out / "manifest.csv").exists()
 
 

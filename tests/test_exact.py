@@ -278,6 +278,30 @@ def test_duality_reports_plumbing_and_cached_generators():
     assert abs(cached.rhs - reps[0].rhs) <= 1e-14
 
 
+def test_duality_reports_union_matches_per_start():
+    # the CLI's twelve starts: every singleton and pair start at sites 0, 1
+    p = mk(3, d=3, S=1.0, b=((0.5, 0.3, 0.2), (0.1, 0.6, 0.3),
+                             (0.25, 0.25, 0.5)), chi=(0.0, 0.4, 1.0))
+    starts = [canonical_start(p, {0: u}) for u in range(3)]
+    starts += [canonical_start(p, {0: u, 1: v})
+               for u in range(3) for v in range(3)]
+    mu = (0.2, 0.3, 0.5)
+    times = (0.5, 1.0)
+    reps = duality_reports(p, mu, starts, times)
+    assert [(r.start, r.t) for r in reps] == [
+        (s, t) for s in starts for t in times]
+    type_gen = build_type_generator(p)
+    for k, start in enumerate(starts):
+        bp_gen = build_bp_generator(p, start)
+        for m, t in enumerate(times):
+            single = check_duality(p, start, mu, t, type_gen=type_gen,
+                                   bp_gen=bp_gen)
+            r = reps[k * len(times) + m]
+            assert abs(single.lhs - r.lhs) <= 1e-12
+            assert abs(single.rhs - r.rhs) <= 1e-12
+            assert r.gap <= 1e-9
+
+
 def test_config_law_vector_shapes_and_errors():
     p = mk(2)
     configs = tuple(itertools.product(range(2), repeat=2))

@@ -45,6 +45,28 @@ def test_validate_rejects_bad_chi():
             mk(3, d=d, chi=chi)
 
 
+NAN, INF = float("nan"), float("inf")
+NON_FINITE = [
+    ("B_nan", dict(B=NAN), "mutation rate"),
+    ("B_inf", dict(B=INF), "mutation rate"),
+    ("b_nan", dict(b=((NAN, 0.5), (0.5, 0.5))), "row not stochastic"),
+    ("b_inf", dict(b=((INF, 0.5), (0.5, 0.5))), "row not stochastic"),
+    ("chi_nan", dict(d=3, b=((1 / 3,) * 3,) * 3, chi=(0.0, NAN, 1.0)),
+     "chi not strictly increasing"),
+    ("S_nan", dict(S=NAN), "selection out of range"),
+]
+
+
+@pytest.mark.parametrize("label,kwargs,fragment", NON_FINITE,
+                         ids=[c[0] for c in NON_FINITE])
+def test_validate_rejects_non_finite(label, kwargs, fragment):
+    fields = dict(N=3, d=2, B=1.0, b=((0.5, 0.5), (0.5, 0.5)), S=0.0,
+                  chi=(0.0, 1.0))
+    fields.update(kwargs)
+    with pytest.raises(ParamError, match=fragment):
+        validate_params(ModelParams(**fields))
+
+
 def test_validate_rejects_bad_sizes():
     with pytest.raises(ParamError, match="population size"):
         mk(0)

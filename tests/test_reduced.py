@@ -11,7 +11,7 @@ from moranlines import (BudgetError, ParamError, wf_mixed_moments,
                         wf_single_moment)
 from moranlines.reduced import (ABSORBED, CatChainSpec, DistChainSpec,
                                 Y_STATES, cat_chain_vs_bp, cat_equilibrium,
-                                cat_generator, dist_chain_vs_bp,
+                                cat_generator, chains_vs_bp, dist_chain_vs_bp,
                                 dist_generator, dist_survival,
                                 dist_taylor_coeffs, lemma_ode_residual)
 
@@ -186,6 +186,23 @@ def test_cat_chain_matches_lumped_backward():
             rep = cat_chain_vs_bp(p, t)
             assert rep.chain == "cat" and rep.t == t
             assert rep.max_gap <= 1e-9
+
+
+def test_chains_vs_bp_matches_single_time_wrappers():
+    p = mk(5, B=0.8, b=PI, S=1.0)
+    times = (0.5, 1.0)
+    reports = chains_vs_bp(p, times)
+    assert [(r.chain, r.t) for r in reports] == [
+        (c, t) for t in times for c in ("cat", "dist")]
+    for r in reports:
+        wrapper = cat_chain_vs_bp if r.chain == "cat" else dist_chain_vs_bp
+        single = wrapper(p, r.t)
+        assert abs(single.max_gap - r.max_gap) <= 1e-12
+        assert [lab for lab, _ in single.details] == [
+            lab for lab, _ in r.details]
+        for (_, g1), (_, g2) in zip(single.details, r.details):
+            assert abs(g1 - g2) <= 1e-12
+        assert r.max_gap <= 1e-9
 
 
 def test_dist_chain_matches_lumped_backward():
