@@ -354,24 +354,18 @@ class BpPath:
         return state
 
 
-def simulate_bp(start: BpState, p: ModelParams, T: float, rng,
-                transition_cache: dict | None = None) -> BpPath:
-    """Exact event-by-event simulation of the backward chain up to time T.
-
-    A shared transition_cache (state -> enumeration) may be passed in when
-    many paths run over the same small reachable set.
-    """
-    if T < 0:
-        raise ParamError("nonnegative horizon required")
-    cache = transition_cache if transition_cache is not None else {}
+def _jump_path(start: BpState, p: ModelParams, T: float, rng, cache: dict,
+               transitions_of) -> BpPath:
+    """Event-by-event path on [0, T] of a time-homogeneous jump chain whose
+    positive-rate transitions out of a state are transitions_of(state),
+    memoized per state in cache."""
     t = 0.0
     state = start
     events = []
     while True:
         trans = cache.get(state)
         if trans is None:
-            trans = enumerate_transitions(state, p)
-            cache[state] = trans
+            trans = cache[state] = transitions_of(state)
         total = sum(tr.rate for tr in trans)
         if total <= 0.0:
             break
@@ -389,6 +383,20 @@ def simulate_bp(start: BpState, p: ModelParams, T: float, rng,
         events.append((t, chosen))
         state = chosen.target
     return BpPath(initial=start, events=tuple(events), horizon=T, params=p)
+
+
+def simulate_bp(start: BpState, p: ModelParams, T: float, rng,
+                transition_cache: dict | None = None) -> BpPath:
+    """Exact event-by-event simulation of the backward chain up to time T.
+
+    A shared transition_cache (state -> enumeration) may be passed in when
+    many paths run over the same small reachable set.
+    """
+    if T < 0:
+        raise ParamError("nonnegative horizon required")
+    cache = transition_cache if transition_cache is not None else {}
+    return _jump_path(start, p, T, rng, cache,
+                      lambda s: enumerate_transitions(s, p))
 
 
 def path_V_integral(path: BpPath, t: float) -> float:

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
 import json
 import math
@@ -31,14 +32,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__
-from .model import (BudgetError, ModelParams, ParamError,
-                    finite_stationary_law, validate_params, wf_single_moment)
+from .model import (BudgetError, ModelParams, ParamError, validate_params,
+                    wf_single_moment)
 from .backward import canonical_start
 from .exact import duality_reports
 from .forward import (genealogical_distance, init_forest,
                       neutral_pair_distance_samples, run_until)
 from .transformed import (first_coalescence_time, make_inhomogeneous_kernel,
-                          sample_conditioned_lines, sample_config)
+                          sample_conditioned_lines)
 from .reduced import (CatChainSpec, DistChainSpec, Y_STATES, cat_equilibrium,
                       chains_vs_bp, dist_survival, dist_taylor_coeffs)
 
@@ -241,8 +242,23 @@ def _exp_duality(cfg: ExperimentConfig, out: str) -> list:
     return ["duality.csv", "plotdata.csv"]
 
 
-def _distance_chunk(args) -> list:
-    p, T, seed, reps = args
+def _fan_out(chunk_fn, args: tuple, reps: int, workers: int) -> np.ndarray:
+    """chunk_fn(*args, rep_indices) over replicates 0..reps-1, split by
+    stride across worker processes; results come back in replicate order,
+    and since each replicate seeds its own stream, whatever the worker
+    count."""
+    if workers == 1:
+        return np.array(chunk_fn(*args, range(reps)))
+    out = np.empty(reps)
+    with ProcessPoolExecutor(max_workers=workers) as ex:
+        parts = ex.map(functools.partial(chunk_fn, *args),
+                       [range(k, reps, workers) for k in range(workers)])
+        for k, part in enumerate(parts):
+            out[k::workers] = part
+    return out
+
+
+def _distance_chunk(p, T, seed, reps) -> list:
     out = []
     for rep in reps:
         rng = np.random.Generator(np.random.Philox(key=(seed, rep)))
@@ -264,18 +280,7 @@ def _exp_forward_distance(cfg: ExperimentConfig, out: str) -> list:
     if p.S == 0.0:
         dists = neutral_pair_distance_samples(p.N, T, reps, cfg.seed)
     else:
-        all_reps = list(range(reps))
-        if cfg.workers > 1:
-            chunks = [all_reps[k::cfg.workers] for k in range(cfg.workers)]
-            args = [(p, T, cfg.seed, ch) for ch in chunks]
-            with ProcessPoolExecutor(max_workers=cfg.workers) as ex:
-                parts = list(ex.map(_distance_chunk, args))
-            by_rep = {}
-            for ch, part in zip(chunks, parts):
-                by_rep.update(zip(ch, part))
-            dists = np.array([by_rep[r] for r in all_reps])
-        else:
-            dists = np.array(_distance_chunk((p, T, cfg.seed, all_reps)))
+        dists = _fan_out(_distance_chunk, (p, T, cfg.seed), reps, cfg.workers)
 
     rows = []
     plot = []
@@ -307,8 +312,7 @@ def _exp_forward_distance(cfg: ExperimentConfig, out: str) -> list:
             "plotdata.csv"]
 
 
-def _conditioned_chunk(args) -> list:
-    p, T, seed, reps, tagged, nu = args
+def _conditioned_chunk(p, T, seed, tagged, nu, reps) -> list:
     kernel = make_inhomogeneous_kernel(p, nu, T)
     cache: dict = {}
     out = []
@@ -323,26 +327,13 @@ def _conditioned_chunk(args) -> list:
 def _exp_conditioned(cfg: ExperimentConfig, out: str) -> list:
     p = cfg.model
     T = cfg.horizon
-    reps = cfg.replicates
     times = cfg.times or (0.5,)
     tagged = cfg.tagged or {0: 0, 1: 0}
     if any(not (0 <= j < p.N) for j in tagged):
         raise ParamError("tagged sites must lie in the population")
     nu = _start_law(cfg)
-
-    all_reps = list(range(reps))
-    if cfg.workers > 1:
-        chunks = [all_reps[k::cfg.workers] for k in range(cfg.workers)]
-        args = [(p, T, cfg.seed, ch, tagged, nu) for ch in chunks]
-        with ProcessPoolExecutor(max_workers=cfg.workers) as ex:
-            parts = list(ex.map(_conditioned_chunk, args))
-        by_rep = {}
-        for ch, part in zip(chunks, parts):
-            by_rep.update(zip(ch, part))
-        sigmas = np.array([by_rep[r] for r in all_reps])
-    else:
-        sigmas = np.array(_conditioned_chunk(
-            (p, T, cfg.seed, all_reps, tagged, nu)))
+    sigmas = _fan_out(_conditioned_chunk, (p, T, cfg.seed, tagged, nu),
+                      cfg.replicates, cfg.workers)
 
     rows = []
     plot = []

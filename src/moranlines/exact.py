@@ -20,7 +20,7 @@ from scipy.stats import poisson
 
 from .model import (BudgetError, ModelParams, ParamError, StationaryTypeLaw,
                     finite_stationary_law, validate_params)
-from .backward import BpState, canonical_start, enumerate_transitions, feynman_kac_V, make_state
+from .backward import BpState, enumerate_transitions, feynman_kac_V, make_state
 
 __all__ = [
     "GeneratorMatrix",

@@ -10,6 +10,10 @@ change nothing and create no node.
 The pairwise genealogical distance is twice the elapsed time since the
 two lines last agreed; lines agree exactly while they traverse the same
 node, which reduces the distance to a walk up the two parent chains.
+
+`_step_at` is the single place that draws and applies an event; the
+forest runners, the common-ancestor tracer and the type-only simulator
+all advance through it, so they share one event law and one draw order.
 """
 from __future__ import annotations
 
@@ -232,80 +236,37 @@ def cat_fixation_type(p: ModelParams, c: float, types, t: float, rng,
     has not collapsed within the horizon cap (default 50 * N time units
     of elapsed clock).
     """
-    validate_params(p)
-    c, t = float(c), float(t)
+    forest = init_forest(p, c, types)
+    c, t = forest.time_origin, float(t)
     if t < c:
         raise ParamError("evaluation time before start time")
-    types = [int(u) for u in types]
-    if len(types) != p.N:
-        raise ParamError("one initial type per site required")
     if horizon_cap is None:
         horizon_cap = 50.0 * p.N
-    rate_mut = p.N * p.B
-    rate_res = p.N * p.N / 2.0
-    total = rate_mut + rate_res
-    sel = p.S / (2.0 * p.N)
-    rate_max = 0.5 + sel
-    cur = list(types)
+    total = p.N * p.B + p.N * p.N / 2.0
     # anc[i]: which time-t site the line now at i descends from; tracked
     # only once the clock has crossed t, with the types frozen there
     anc = None
     frozen = None
-    now = c
     while True:
-        dt = rng.exponential(1.0 / total)
-        if anc is None and now + dt >= t:
-            frozen = list(cur)
+        now = forest.now + rng.exponential(1.0 / total)
+        if anc is None and now >= t:
+            frozen = list(forest.current_types)
             anc = list(range(p.N))
             if p.N == 1:
                 return frozen[0]
-        now += dt
         if now - c >= horizon_cap:
             return "pending"
-        if rng.uniform(0.0, total) < rate_mut:
-            i = int(rng.integers(p.N))
-            cur[i] = _draw_row(p.b[cur[i]], rng.uniform(0.0, 1.0))
-            continue
-        while True:
-            src = int(rng.integers(p.N))
-            dst = int(rng.integers(p.N))
-            rate = 0.5 + sel * (p.chi[cur[src]] - p.chi[cur[dst]])
-            if rng.uniform(0.0, rate_max) < rate:
-                break
-        if src != dst:
-            cur[dst] = cur[src]
-            if anc is not None:
-                anc[dst] = anc[src]
-                first = anc[0]
-                if all(a == first for a in anc):
-                    return frozen[first]
+        evt = _step_at(forest, p, rng, now)
+        if anc is not None and evt.kind == "resample" and evt.src != evt.dst:
+            anc[evt.dst] = anc[evt.src]
+            first = anc[0]
+            if all(a == first for a in anc):
+                return frozen[first]
 
 
 def simulate_types(p: ModelParams, types, T: float, rng) -> tuple:
-    """Type configuration at time T, simulated without genealogy."""
-    validate_params(p)
-    cur = [int(u) for u in types]
-    rate_mut = p.N * p.B
-    rate_res = p.N * p.N / 2.0
-    total = rate_mut + rate_res
-    sel = p.S / (2.0 * p.N)
-    rate_max = 0.5 + sel
-    t = 0.0
-    while True:
-        t += rng.exponential(1.0 / total)
-        if t >= T:
-            return tuple(cur)
-        if rng.uniform(0.0, total) < rate_mut:
-            i = int(rng.integers(p.N))
-            cur[i] = _draw_row(p.b[cur[i]], rng.uniform(0.0, 1.0))
-            continue
-        while True:
-            src = int(rng.integers(p.N))
-            dst = int(rng.integers(p.N))
-            rate = 0.5 + sel * (p.chi[cur[src]] - p.chi[cur[dst]])
-            if rng.uniform(0.0, rate_max) < rate:
-                break
-        cur[dst] = cur[src]
+    """Type configuration at time T of a population started at time 0."""
+    return tuple(run_until(init_forest(p, 0.0, types), p, T, rng).current_types)
 
 
 def neutral_pair_distance_samples(N: int, T: float, reps: int, seed: int,

@@ -27,6 +27,7 @@ __all__ = [
     "resampling_rate",
     "two_type_mutation_rates",
     "finite_stationary_law",
+    "stationary_vector",
     "pn_probability",
     "wf_mixed_moments",
     "wf_single_moment",
@@ -35,6 +36,9 @@ __all__ = [
 
 # linear-scale probability work switches to logs above this population size
 LOG_SCALE_THRESHOLD = 200
+
+# largest dense generator, in bytes, that the count-chain solve may allocate
+DENSE_SOLVE_BYTES = 256 * 2**20
 
 
 class ParamError(ValueError):
@@ -149,12 +153,6 @@ class StationaryTypeLaw:
         except ValueError:
             raise ParamError("count vector outside the law's state space") from None
 
-    @property
-    def k_weights(self) -> np.ndarray:
-        if self.d != 2:
-            raise ParamError("two-type law required")
-        return self.weights
-
     def config_probability(self, types) -> float:
         """Probability of one ordered type configuration (exchangeable split)."""
         counts = [0] * self.d
@@ -183,7 +181,8 @@ def finite_stationary_law(p: ModelParams, cap: int = 100_000) -> StationaryTypeL
         up(k)   = (N-k) B b(0,1) + k (N-k) (1/2 + S/2N)
         down(k) = k B b(1,0)     + k (N-k) (1/2 - S/2N)
     solved in product form.  d > 2 solves the count-vector chain as a
-    linear system, refusing above `cap` states.
+    linear system, refusing above `cap` states or when its dense generator
+    would exceed DENSE_SOLVE_BYTES.
     """
     validate_params(p)
     if p.B <= 0 or not _irreducible(p.b):
@@ -211,7 +210,7 @@ def finite_stationary_law(p: ModelParams, cap: int = 100_000) -> StationaryTypeL
 
     counts = tuple(_compositions(N, d))
     n_states = len(counts)
-    if n_states > cap:
+    if n_states > cap or 8 * n_states**2 > DENSE_SOLVE_BYTES:
         raise BudgetError("exact solve infeasible")
     index = {c: i for i, c in enumerate(counts)}
     Q = np.zeros((n_states, n_states))
@@ -230,16 +229,23 @@ def finite_stationary_law(p: ModelParams, cap: int = 100_000) -> StationaryTypeL
                 rate += c[v] * c[u] * resampling_rate(p, v, u)     # a v-site overwrites a u-site
                 Q[i, j] += rate
                 Q[i, i] -= rate
-    A = Q.T.copy()
-    A[-1, :] = 1.0
-    rhs = np.zeros(n_states)
-    rhs[-1] = 1.0
-    w = np.linalg.solve(A, rhs)
-    w = np.clip(w, 0.0, None)
-    w /= w.sum()
+    w = stationary_vector(Q)
     with np.errstate(divide="ignore"):
         log_w = np.log(w)
     return StationaryTypeLaw(N=N, d=d, counts=counts, weights=w, log_weights=log_w)
+
+
+def stationary_vector(Q: np.ndarray) -> np.ndarray:
+    """Stationary law pi Q = 0, sum pi = 1, of a dense irreducible
+    generator, by one dense solve in which the normalization replaces the
+    last balance equation.  Q is overwritten, so no second n x n array is
+    allocated."""
+    A = Q.T
+    A[-1, :] = 1.0
+    rhs = np.zeros(A.shape[0])
+    rhs[-1] = 1.0
+    w = np.clip(np.linalg.solve(A, rhs), 0.0, None)
+    return w / w.sum()
 
 
 def pn_probability(law: StationaryTypeLaw, n: int, m: int) -> float:

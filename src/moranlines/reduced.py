@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 from scipy import sparse
@@ -24,9 +25,11 @@ from scipy.integrate import solve_ivp
 
 from .model import (BudgetError, MixedMomentTable, ModelParams, ParamError,
                     StationaryTypeLaw, finite_stationary_law, pn_probability,
-                    two_type_mutation_rates, validate_params, wf_single_moment)
+                    stationary_vector, two_type_mutation_rates,
+                    validate_params, wf_single_moment)
 from .backward import canonical_start
-from .exact import (GeneratorMatrix, build_bp_generator, compute_h, expm_apply)
+from .exact import (GeneratorMatrix, _assemble, build_bp_generator, compute_h,
+                    expm_apply)
 
 __all__ = [
     "ABSORBED",
@@ -55,35 +58,36 @@ _Y_ONES = {"00": 0, "11": 2, "01": 1}
 
 
 @dataclass(frozen=True)
-class CatChainSpec:
-    """Ancestor-type chain on (mark u, pinned count n).
+class _ChainSpec:
+    """Rate source shared by the reduced chains.
 
     mode "finite" reads sampling probabilities from a stationary law at
     population size N; mode "limit" reads diffusion moments, computed
-    lazily per order unless a table is supplied.  fearnhead_up switches
-    to the comparison variant whose up-rate drops the (n+1) factor.
+    lazily per order unless a table is supplied.
     """
+
+    _min_N: ClassVar[int] = 1
 
     p: ModelParams
     mode: str
     law: StationaryTypeLaw | None = None
     moments: MixedMomentTable | None = None
-    fearnhead_up: bool = False
 
     @classmethod
-    def finite_n(cls, p: ModelParams, law=None, fearnhead_up=False):
+    def finite_n(cls, p: ModelParams, law=None, **flags):
         validate_params(p)
         two_type_mutation_rates(p)
+        if p.N < cls._min_N:
+            raise ParamError("population of at least two required")
         if law is None:
             law = finite_stationary_law(p)
-        return cls(p=p, mode="finite", law=law, fearnhead_up=fearnhead_up)
+        return cls(p=p, mode="finite", law=law, **flags)
 
     @classmethod
-    def limit(cls, p: ModelParams, moments=None, fearnhead_up=False):
+    def limit(cls, p: ModelParams, moments=None, **flags):
         validate_params(p)
         two_type_mutation_rates(p)
-        return cls(p=p, mode="limit", moments=moments,
-                   fearnhead_up=fearnhead_up)
+        return cls(p=p, mode="limit", moments=moments, **flags)
 
     def prob(self, ones: int, zeros: int) -> float:
         if self.mode == "finite":
@@ -94,37 +98,20 @@ class CatChainSpec:
 
 
 @dataclass(frozen=True)
-class DistChainSpec:
+class CatChainSpec(_ChainSpec):
+    """Ancestor-type chain on (mark u, pinned count n).  fearnhead_up
+    switches to the comparison variant whose up-rate drops the (n+1)
+    factor."""
+
+    fearnhead_up: bool = False
+
+
+@dataclass(frozen=True)
+class DistChainSpec(_ChainSpec):
     """Pair-distance chain on (pair class y, pinned count n) plus an
     absorbing coalescence state."""
 
-    p: ModelParams
-    mode: str
-    law: StationaryTypeLaw | None = None
-    moments: MixedMomentTable | None = None
-
-    @classmethod
-    def finite_n(cls, p: ModelParams, law=None):
-        validate_params(p)
-        two_type_mutation_rates(p)
-        if p.N < 2:
-            raise ParamError("population of at least two required")
-        if law is None:
-            law = finite_stationary_law(p)
-        return cls(p=p, mode="finite", law=law)
-
-    @classmethod
-    def limit(cls, p: ModelParams, moments=None):
-        validate_params(p)
-        two_type_mutation_rates(p)
-        return cls(p=p, mode="limit", moments=moments)
-
-    def prob(self, ones: int, zeros: int) -> float:
-        if self.mode == "finite":
-            return pn_probability(self.law, ones, zeros)
-        if self.moments is not None and ones + zeros <= self.moments.maxOrder:
-            return self.moments.moment(ones, zeros)
-        return wf_single_moment(self.p, ones, zeros)
+    _min_N: ClassVar[int] = 2
 
     def weight(self, y: str, n: int) -> float:
         """Start weight of class y at pinned count n: the sampling
@@ -196,21 +183,13 @@ def _dist_rates(spec: DistChainSpec, y: str, n: int, n_top: int) -> list:
 
 def _chain_generator(states, rate_fn) -> GeneratorMatrix:
     index = {s: k for k, s in enumerate(states)}
-    n = len(states)
-    rows, cols, vals = [], [], []
-    diag = np.zeros(n)
+    entries = {}
     for r, s in enumerate(states):
         for tgt, rate in rate_fn(s):
-            c = index[tgt]
-            rows.append(r)
-            cols.append(c)
-            vals.append(rate)
-            diag[r] -= rate
-    rows.extend(range(n))
-    cols.extend(range(n))
-    vals.extend(diag)
-    Q = sparse.csr_matrix((vals, (rows, cols)), shape=(n, n))
-    return GeneratorMatrix(states=tuple(states), index=index, Q=Q)
+            key = (r, index[tgt])
+            entries[key] = entries.get(key, 0.0) + rate
+    return GeneratorMatrix(states=tuple(states), index=index,
+                           Q=_assemble(len(states), entries))
 
 
 def cat_generator(spec: CatChainSpec, n_top: int | None = None) -> GeneratorMatrix:
@@ -232,41 +211,27 @@ def dist_generator(spec: DistChainSpec, n_top: int | None = None,
     """Generator over (y, n) and, optionally, the absorbing state.
 
     Without the absorbing state the coalescence rate appears only through
-    the diagonal, which is exactly the survival-function generator.
+    the diagonal, which is exactly the survival-function generator: the
+    transient block of the absorbing generator.
     """
     if spec.mode == "finite":
         n_top = spec.p.N - 2
     elif n_top is None:
         raise ParamError("limit mode needs an explicit truncation level")
     states = [(y, n) for y in Y_STATES for n in range(n_top + 1)]
+
+    def rate_fn(s):
+        if s == ABSORBED:
+            return []
+        return _dist_rates(spec, s[0], s[1], n_top)
+
+    gen = _chain_generator(states + [ABSORBED], rate_fn)
     if with_absorbed:
-        states.append(ABSORBED)
-
-        def rate_fn(s):
-            if s == ABSORBED:
-                return []
-            return _dist_rates(spec, s[0], s[1], n_top)
-
-        return _chain_generator(states, rate_fn)
-
-    # assemble with explicit diagonal handling: absorbed outflow subtracts
-    # from the diagonal without any target column
-    index = {s: k for k, s in enumerate(states)}
+        return gen
     n = len(states)
-    rows, cols, vals = [], [], []
-    diag = np.zeros(n)
-    for r, s in enumerate(states):
-        for tgt, rate in _dist_rates(spec, s[0], s[1], n_top):
-            diag[r] -= rate
-            if tgt != ABSORBED:
-                rows.append(r)
-                cols.append(index[tgt])
-                vals.append(rate)
-    rows.extend(range(n))
-    cols.extend(range(n))
-    vals.extend(diag)
-    Q = sparse.csr_matrix((vals, (rows, cols)), shape=(n, n))
-    return GeneratorMatrix(states=tuple(states), index=index, Q=Q)
+    return GeneratorMatrix(states=tuple(states),
+                           index={s: k for k, s in enumerate(states)},
+                           Q=gen.Q[:n, :n])
 
 
 @dataclass(frozen=True)
@@ -275,16 +240,6 @@ class CatEquilibrium:
     pi: np.ndarray = field(compare=False)
     marginal: tuple = ()  # (P(mark 0), P(mark 1))
     n_top: int = 0
-
-
-def _stationary_of(gen: GeneratorMatrix) -> np.ndarray:
-    A = gen.Q.toarray().T
-    A[-1, :] = 1.0
-    rhs = np.zeros(gen.n)
-    rhs[-1] = 1.0
-    pi = np.linalg.solve(A, rhs)
-    pi = np.clip(pi, 0.0, None)
-    return pi / pi.sum()
 
 
 def cat_equilibrium(spec: CatChainSpec, n_max: int = 32,
@@ -296,13 +251,13 @@ def cat_equilibrium(spec: CatChainSpec, n_max: int = 32,
     """
     if spec.mode == "finite":
         gen = cat_generator(spec)
-        pi = _stationary_of(gen)
+        pi = stationary_vector(gen.Q.toarray())
         n_top = spec.p.N - 1
     else:
         n_top = n_max
         while True:
             gen = cat_generator(spec, n_top=n_top)
-            pi = _stationary_of(gen)
+            pi = stationary_vector(gen.Q.toarray())
             tail = sum(pi[gen.index[(u, n_top)]] for u in (0, 1))
             if tail < tail_tol:
                 break

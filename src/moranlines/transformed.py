@@ -23,12 +23,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import ModelParams, ParamError, validate_params
-from .backward import (BpPath, BpState, BpTransition, LinePath,
-                       canonical_start, enumerate_transitions, feynman_kac_V,
-                       reverse_to_lines)
+from .backward import (BpPath, BpState, BpTransition, LinePath, _jump_path,
+                       canonical_start, enumerate_transitions, reverse_to_lines)
 from .exact import (GeneratorMatrix, build_bp_generator, build_type_generator,
                     compute_h, config_law_vector, expm_apply, h_star_vector)
-from .forward import LineageForest, genealogical_distance, init_forest, run_until
+from .forward import LineageForest, init_forest, run_until
 
 __all__ = [
     "HTTable",
@@ -92,10 +91,7 @@ class HTTable:
     def value(self, t: float, state: BpState) -> float:
         if not (0.0 <= t <= self.T):
             raise ParamError("time outside horizon")
-        ser = self.series(state)
-        k = min(int(t / self.step), len(self.grid) - 2)
-        theta = (t - self.grid[k]) / self.step
-        return float((1.0 - theta) * ser[k] + theta * ser[k + 1])
+        return _interp(self.series(state), t, self)
 
 
 @dataclass(frozen=True)
@@ -163,12 +159,9 @@ class _StateTables:
         self.trans = enumerate_transitions(state, kernel.p)
         self.den = ht.series(state)
         self.tgt = [ht.series(tr.target) for tr in self.trans]
-        if self.trans:
-            num = np.zeros_like(self.den)
-            for tr, ser in zip(self.trans, self.tgt):
-                num += tr.rate * ser
-        else:
-            num = np.zeros_like(self.den)
+        num = np.zeros_like(self.den)
+        for tr, ser in zip(self.trans, self.tgt):
+            num += tr.rate * ser
         self.num = num
         with np.errstate(divide="ignore", invalid="ignore"):
             ratio = np.where(self.den > 0.0, num / np.maximum(self.den, 1e-300),
@@ -195,30 +188,9 @@ def sample_transformed_path(kernel: HTransformedKernel, start: BpState, rng,
     if kernel.mode == "homogeneous":
         if t_end is None:
             raise ParamError("explicit horizon required")
-        tables = cache if cache is not None else {}
-        t, state, events = 0.0, start, []
-        while True:
-            trans = tables.get(state)
-            if trans is None:
-                trans = transformed_rates(kernel, state)
-                tables[state] = trans
-            total = sum(tr.rate for tr in trans)
-            if total <= 0.0:
-                break
-            t += rng.exponential(1.0 / total)
-            if t >= t_end:
-                break
-            x = rng.uniform(0.0, total)
-            acc, chosen = 0.0, trans[-1]
-            for tr in trans:
-                acc += tr.rate
-                if x < acc:
-                    chosen = tr
-                    break
-            events.append((t, chosen))
-            state = chosen.target
-        return BpPath(initial=start, events=tuple(events), horizon=t_end,
-                      params=kernel.p)
+        return _jump_path(start, kernel.p, t_end, rng,
+                          cache if cache is not None else {},
+                          lambda s: transformed_rates(kernel, s))
 
     ht = kernel.ht
     if t_end is None:

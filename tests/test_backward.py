@@ -167,6 +167,17 @@ def test_simulate_bp_zero_horizon_and_errors():
         path.state_at(0.5)
 
 
+def test_simulate_bp_draw_order_is_pinned():
+    # recorded from a seeded run; a change in the order or number of random
+    # draws of the jump-path loop changes the event count or kinds
+    p = mk(3, B=1.0, S=1.0, b=((0.7, 0.3), (0.2, 0.8)))
+    start = canonical_start(p, {0: 0, 1: 1})
+    path = simulate_bp(start, p, 5.0, philox(21, 0))
+    assert [tr.kind for _t, tr in path.events] == [
+        "2bi", "2bi", "2cii", "1a", "2ai", "2bi", "2bi", "2bii", "2dii", "2di",
+        "2ci"]
+
+
 def test_neutral_run_keeps_subsets_full():
     p = mk(3, S=0.0)
     rng = philox(22, 0)

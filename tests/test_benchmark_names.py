@@ -1,0 +1,32 @@
+"""The benchmark's tracer wraps package functions by name from outside.
+
+perfbench/tracer.py lists them in TRACED and also rebinds exact.poisson
+and reduced.solve_ivp; a rename or deletion in the package would make a
+traced run fail or silently report zeros, so every name is checked here.
+The file is read with ast, so the benchmark itself is never imported.
+"""
+import ast
+import importlib
+import pathlib
+
+TRACER = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+
+
+def _traced_names() -> list:
+    tree = ast.parse(TRACER.read_text(encoding="utf-8"))
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "TRACED"
+                        for t in node.targets)):
+            table = ast.literal_eval(node.value)
+            return [(mod, name) for mod, names in table.items()
+                    for name in names]
+    raise AssertionError("TRACED table not found in perfbench/tracer.py")
+
+
+def test_traced_names_resolve_in_package():
+    names = _traced_names() + [("exact", "poisson"), ("reduced", "solve_ivp")]
+    missing = [f"{mod}.{name}" for mod, name in names
+               if not hasattr(importlib.import_module(f"moranlines.{mod}"),
+                              name)]
+    assert missing == []

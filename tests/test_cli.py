@@ -102,15 +102,32 @@ def test_manifest_checksums_and_no_temp_files(tmp_path):
         assert manifest[key] == sha256_of(out / name)
 
 
-def test_worker_count_never_changes_results(tmp_path):
-    cfg = write_cfg(tmp_path / "cfg.json", FORWARD_CFG)
+CONDITIONED_CFG = {
+    "model": {"N": 2, "d": 2, "B": 0.0, "S": 0.0,
+              "b": [[0.5, 0.5], [0.5, 0.5]], "chi": [0.0, 1.0]},
+    "horizon": 1.0,
+    "times": [0.25, 0.5],
+    "replicates": 200,
+    "tagged": {"0": 0, "1": 0},
+    "nu": [0.5, 0.5],
+    "seed": 5,
+}
+
+
+@pytest.mark.parametrize("experiment,payload,names", [
+    ("forward-distance", FORWARD_CFG,
+     ["distance_survival.csv", "trace.csv", "distances.csv", "plotdata.csv"]),
+    ("conditioned-distance", CONDITIONED_CFG,
+     ["conditioned_survival.csv", "plotdata.csv"]),
+], ids=["forward-distance", "conditioned-distance"])
+def test_worker_count_never_changes_results(tmp_path, experiment, payload,
+                                            names):
+    cfg = write_cfg(tmp_path / "cfg.json", payload)
     out1, out3 = tmp_path / "w1", tmp_path / "w3"
-    assert main(["forward-distance", "--config", cfg, "--out", str(out1),
+    assert main([experiment, "--config", cfg, "--out", str(out1),
                  "--workers", "1"]) == 0
-    assert main(["forward-distance", "--config", cfg, "--out", str(out3),
+    assert main([experiment, "--config", cfg, "--out", str(out3),
                  "--workers", "3"]) == 0
-    names = ["distance_survival.csv", "trace.csv", "distances.csv",
-             "plotdata.csv"]
     for name in names:
         assert (out1 / name).read_bytes() == (out3 / name).read_bytes()
     assert read_manifest(out1)["config_hash"] == \

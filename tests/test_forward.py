@@ -30,6 +30,17 @@ def test_init_forest_errors():
         init_forest(p, 0.0, (0, 2))
 
 
+def test_initial_types_outside_type_space_are_refused():
+    p = mk(3)
+    rng = philox(6, 0)
+    with pytest.raises(ParamError, match="initial type outside type space"):
+        init_forest(p, 0.0, (0, -1, 1))
+    with pytest.raises(ParamError, match="initial type outside type space"):
+        cat_fixation_type(p, 0.0, (0, 2, 1), 0.5, rng)
+    with pytest.raises(ParamError, match="initial type outside type space"):
+        simulate_types(p, (0, 1, 2), 0.5, rng)
+
+
 def test_extreme_selection_event_law():
     # d=2, S=N: ordered rates are 1 (fit->unfit), 0 (unfit->fit), 1/2 (equal)
     p = mk(2, B=0.0, S=2.0)
@@ -237,3 +248,42 @@ def test_neutral_sampler_validation():
         neutral_pair_distance_samples(1, 1.0, 10, seed=0)
     with pytest.raises(ParamError, match="distinct sites inside the population"):
         neutral_pair_distance_samples(3, 1.0, 10, seed=0, pair=(0, 0))
+
+
+# --- draw-order guards ------------------------------------------------------
+# Integer outputs recorded from seeded runs; both simulators advance through
+# the forest's single event step, and a change in the order or number of
+# random draws changes these values.  Each entry pairs the simulator's
+# result with the next draw of the same stream, so the number of draws
+# consumed is pinned as well.
+
+GUARD_P = mk(4, d=3, B=0.8, S=2.0, chi=(0.0, 0.4, 1.0),
+             b=((0.2, 0.5, 0.3), (0.4, 0.4, 0.2), (0.1, 0.3, 0.6)))
+
+
+def test_cat_fixation_type_draw_order_is_pinned():
+    got, nxt = [], []
+    for seed in range(50):
+        rng = philox(seed, 3)
+        got.append(cat_fixation_type(GUARD_P, 0.0, (0, 2, 1, 2), 0.3, rng))
+        nxt.append(int(rng.integers(1000)))
+    assert got == [2, 2, 2, 0, 2, 1, 2, 2, 2, 2, 2, 1, 0, 2, 1, 2, 2, 2, 2, 2,
+                   2, 2, 2, 1, 2, 2, 2, 2, 2, 2, 2, 1, 1, 2, 2, 2, 1, 2, 2, 2,
+                   2, 2, 2, 1, 2, 1, 1, 2, 2, 2]
+    assert nxt == [751, 761, 420, 326, 844, 505, 824, 287, 566, 999, 700, 431,
+                   159, 657, 696, 577, 158, 189, 35, 713, 140, 291, 113, 877,
+                   63, 782, 132, 912, 659, 277, 605, 542, 81, 419, 909, 10,
+                   412, 367, 494, 503, 638, 44, 791, 469, 177, 723, 234, 589,
+                   913, 758]
+
+
+def test_simulate_types_draw_order_is_pinned():
+    got, nxt = [], []
+    for seed in range(10):
+        rng = philox(seed, 4)
+        got.append(simulate_types(GUARD_P, (0, 1, 2, 1), 0.6, rng))
+        nxt.append(int(rng.integers(1000)))
+    assert got == [(1, 2, 2, 0), (1, 1, 1, 1), (2, 2, 2, 2), (1, 1, 2, 1),
+                   (2, 1, 2, 1), (2, 2, 2, 2), (2, 1, 1, 1), (2, 1, 2, 2),
+                   (2, 2, 0, 2), (2, 2, 1, 1)]
+    assert nxt == [453, 217, 486, 843, 894, 820, 67, 377, 882, 131]

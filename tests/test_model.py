@@ -139,6 +139,22 @@ def test_law_budget_refusal():
         finite_stationary_law(p, cap=1000)
 
 
+def test_law_dense_byte_budget(monkeypatch):
+    # d = 3, N = 300: 45,451 count states, under the state cap, but a dense
+    # generator of 16.5 GB.  The refusal must come before that allocation,
+    # so any allocation past the byte budget fails the test instead.
+    real_zeros = np.zeros
+
+    def guarded_zeros(shape, *args, **kwargs):
+        assert 8 * np.prod(shape) <= model.DENSE_SOLVE_BYTES, \
+            "dense generator allocated before the budget check"
+        return real_zeros(shape, *args, **kwargs)
+
+    monkeypatch.setattr(np, "zeros", guarded_zeros)
+    with pytest.raises(BudgetError, match="exact solve infeasible"):
+        finite_stationary_law(mk(300, d=3))
+
+
 def test_law_occupation_monte_carlo():
     # 1e7 uniformized events of the five-site two-type chain; the empirical
     # occupation of k = #type-1 must match the birth-death product law.

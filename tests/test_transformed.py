@@ -119,6 +119,17 @@ def test_homogeneous_sampler_holding_time():
     assert abs(mean - math.exp(-lam * 0.5)) <= band
 
 
+def test_homogeneous_sampler_draw_order_is_pinned():
+    # recorded from a seeded run; a change in the order or number of random
+    # draws of the jump-path loop changes the event count or kinds
+    p = mk(3, B=1.0, S=1.0, b=((0.7, 0.3), (0.2, 0.8)))
+    start = canonical_start(p, {0: 0, 1: 1})
+    kernel = make_homogeneous_kernel(p, start)
+    path = sample_transformed_path(kernel, start, philox(22, 0), t_end=5.0)
+    assert [tr.kind for _t, tr in path.events] == [
+        "1a", "2bi", "2ai", "2bi", "2bi", "2bi", "2bi"]
+
+
 def test_conditioned_line_endpoints():
     p = mk(2, B=0.8, b=((0.7, 0.3), (0.2, 0.8)))
     xi = {0: 0, 1: 1}
