@@ -114,6 +114,8 @@ def resolve_config(raw: dict, experiment: str, seed=None, out=None,
     times = tuple(float(t) for t in raw.get("times", ()))
     if not all(math.isfinite(t) for t in (horizon, *times)):
         raise ParamError("horizon and times must be finite")
+    if horizon < 0.0:
+        raise ParamError("horizon must be nonnegative")
     if any(t2 <= t1 for t1, t2 in zip(times, times[1:])):
         raise ParamError("time grid must be strictly increasing")
     replicates = int(raw.get("replicates", 1))

@@ -113,10 +113,10 @@ def _step_at(forest: LineageForest, p: ModelParams, rng, t: float) -> HmmEvent:
     total = rate_mut + rate_res
     sel = p.S / (2.0 * p.N)
     forest.now = t
-    if rng.uniform(0.0, total) < rate_mut:
+    if rng.random() * total < rate_mut:
         i = int(rng.integers(p.N))
         old = forest.current_types[i]
-        u = _draw_row(p.b[old], rng.uniform(0.0, 1.0))
+        u = _draw_row(p.b[old], rng.random())
         if u != old:
             forest.nodes[forest.heads[i]].mutations.append((t, u))
             forest.current_types[i] = u
@@ -130,7 +130,7 @@ def _step_at(forest: LineageForest, p: ModelParams, rng, t: float) -> HmmEvent:
         dst = int(rng.integers(p.N))
         rate = 0.5 + sel * (p.chi[forest.current_types[src]]
                             - p.chi[forest.current_types[dst]])
-        if rng.uniform(0.0, rate_max) < rate:
+        if rng.random() * rate_max < rate:
             break
     if src != dst:
         child = ForestNode(birth_time=t,
@@ -270,52 +270,49 @@ def simulate_types(p: ModelParams, types, T: float, rng) -> tuple:
 
 
 def neutral_pair_distance_samples(N: int, T: float, reps: int, seed: int,
-                                  pair=(0, 1), chunk: int = 10_000) -> np.ndarray:
+                                  pair=(0, 1)) -> np.ndarray:
     """Genealogical distances of one site pair at time T without selection.
 
     Valid only at S = 0, where resampling pairs are uniform over all
     ordered pairs (self-pairs included) at total rate N^2/2 and mutation
-    never moves ancestry.  Event streams are generated in bulk and the
-    two parent chains are traced back vectorized across replicates: the
-    distance is 2(T - tau) with tau the latest event time at which the
-    chains merge, or zero if they never do.
+    never moves ancestry.  The two lines are traced backward from T, and
+    only the events that can move them are drawn.  Read backward, the
+    event stream is still Poisson with i.i.d. uniform (src, dst) marks.
+    The sites the lines hold at a time depend only on the events after
+    it, so thinning to the events whose dst holds a line is exact: they
+    arrive at rate (N^2/2)(2/N) = N, hit either line with probability
+    1/2 and carry a uniform src.  A hit moves its line to src (a no-op
+    if src is the line's own site); src on the other line merges the
+    two at that event time tau, and a pair still apart when the clock
+    passes 0 has tau = 0.  The distance is 2(T - tau).  Replicates are
+    traced together, one event each per round: memory is O(reps) and
+    the rounds number about N min(T, merge time).
     """
     if N < 2:
         raise ParamError("population of at least two required")
     i0, j0 = pair
     if i0 == j0 or not (0 <= i0 < N and 0 <= j0 < N):
         raise ParamError("distinct sites inside the population required")
-    out = np.empty(reps)
-    done = 0
+    T = float(T)
+    if not (math.isfinite(T) and T >= 0.0):
+        raise ParamError("horizon must be finite and nonnegative")
+    if reps < 0:
+        raise ParamError("replicate count must be nonnegative")
     rng = np.random.Generator(np.random.Philox(key=seed))
-    lam = N * N / 2.0 * T
-    while done < reps:
-        R = min(chunk, reps - done)
-        counts = rng.poisson(lam, size=R)
-        C = int(counts.max())
-        times = rng.uniform(0.0, T, size=(R, C))
-        # pad positions k >= counts[r] with +inf BEFORE sorting, so each
-        # replicate keeps exactly counts[r] uniforms in times[r, :counts[r]]
-        times[np.arange(C)[None, :] >= counts[:, None]] = np.inf
-        times.sort(axis=1)
-        src = rng.integers(0, N, size=(R, C))
-        dst = rng.integers(0, N, size=(R, C))
-        a = np.full(R, i0, dtype=np.int64)
-        b = np.full(R, j0, dtype=np.int64)
-        tau = np.zeros(R)
-        merged = np.zeros(R, dtype=bool)
-        for k in range(C - 1, -1, -1):
-            live = (k < counts) & ~merged
-            if not live.any():
-                continue
-            s_k, d_k = src[:, k], dst[:, k]
-            hit_a = live & (d_k == a)
-            hit_b = live & (d_k == b)
-            a = np.where(hit_a, s_k, a)
-            b = np.where(hit_b, s_k, b)
-            now_merged = live & (a == b)
-            tau[now_merged] = times[now_merged, k]
-            merged |= now_merged
-        out[done:done + R] = 2.0 * (T - tau)
-        done += R
-    return out
+    tau = np.zeros(reps)
+    live = np.arange(reps)               # replicates whose lines are apart
+    now = np.full(reps, T)               # their backward clocks
+    lines = np.tile(np.array([i0, j0], dtype=np.int64), (reps, 1))
+    while live.size:
+        n = live.size
+        now = now - rng.exponential(1.0 / N, size=n)
+        hit = rng.integers(0, 2, size=n)
+        src = rng.integers(0, N, size=n)
+        rows = np.arange(n)
+        inside = now > 0.0
+        merged = inside & (src == lines[rows, 1 - hit])
+        tau[live[merged]] = now[merged]
+        lines[rows, hit] = src
+        keep = inside & ~merged
+        live, now, lines = live[keep], now[keep], lines[keep]
+    return 2.0 * (T - tau)

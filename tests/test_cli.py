@@ -180,6 +180,8 @@ BAD_CASES = [
      {**DUALITY_CFG, "times": [0.5, float("nan")]}, "must be finite"),
     ("inf_horizon",
      {**DUALITY_CFG, "horizon": float("inf")}, "must be finite"),
+    ("negative_horizon",
+     {**DUALITY_CFG, "horizon": -1.0}, "horizon must be nonnegative"),
     ("nan_B",
      {**DUALITY_CFG, "model": {**DUALITY_CFG["model"], "B": float("nan")}},
      "mutation rate"),

@@ -8,6 +8,7 @@ import pytest
 from moranlines import (ParamError, cat_fixation_type, genealogical_distance,
                         init_forest, neutral_pair_distance_samples, path_value,
                         run_until, simulate_types, step_forest)
+from moranlines import cli
 
 from helpers import mk, philox, three_se
 
@@ -227,20 +228,41 @@ def test_neutral_distance_survival_function():
         assert abs(mean - math.exp(-t)) <= tol, (t, mean)
 
 
-def test_fast_sampler_matches_forest_reference():
+def _check_fast_sampler_against_forest(pair, slow_key, fast_seed):
     p = mk(3, B=0.0)
-    rng = philox(19, 0)
+    rng = philox(*slow_key)
     T = 1.5
     slow = np.empty(4000)
     for r in range(slow.size):
         f = init_forest(p, 0.0, (0, 0, 0))
         run_until(f, p, T, rng)
-        slow[r] = genealogical_distance(f, 0, 1)
-    fast = neutral_pair_distance_samples(3, T, 200_000, seed=20)
+        slow[r] = genealogical_distance(f, *pair)
+    fast = neutral_pair_distance_samples(3, T, 200_000, seed=fast_seed,
+                                         pair=pair)
     for t in (0.3, 0.9):
         ps, ss = np.mean(slow > 2 * t), np.std(slow > 2 * t, ddof=1) / math.sqrt(slow.size)
         pf_, sf = np.mean(fast > 2 * t), np.std(fast > 2 * t, ddof=1) / math.sqrt(fast.size)
         assert abs(ps - pf_) <= 3 * math.hypot(ss, sf)
+
+
+def test_fast_sampler_matches_forest_reference():
+    _check_fast_sampler_against_forest((0, 1), (19, 0), 20)
+
+
+def test_fast_sampler_matches_forest_reference_reversed_pair():
+    _check_fast_sampler_against_forest((2, 0), (19, 1), 21)
+
+
+def test_neutral_sampler_cost_does_not_scale_with_event_count():
+    # N^2 T / 2 = 2.5e7 events per replicate; the sampler draws only the
+    # ~N min(T, merge time) events that hit the pair's two lines
+    samples = neutral_pair_distance_samples(1000, 50.0, 5000, seed=22)
+    assert samples.shape == (5000,)
+    assert np.all((samples >= 0.0) & (samples <= 2 * 50.0))
+    for t in (0.5, 1.0, 2.0):
+        ind = (samples > 2 * t).astype(float)
+        mean, tol = three_se(ind)
+        assert abs(mean - math.exp(-t)) <= tol, (t, mean)
 
 
 def test_neutral_sampler_validation():
@@ -248,6 +270,14 @@ def test_neutral_sampler_validation():
         neutral_pair_distance_samples(1, 1.0, 10, seed=0)
     with pytest.raises(ParamError, match="distinct sites inside the population"):
         neutral_pair_distance_samples(3, 1.0, 10, seed=0, pair=(0, 0))
+    for T in (-0.5, math.nan, math.inf):
+        with pytest.raises(ParamError, match="horizon must be finite and nonnegative"):
+            neutral_pair_distance_samples(3, T, 10, seed=0)
+    with pytest.raises(ParamError, match="replicate count must be nonnegative"):
+        neutral_pair_distance_samples(3, 1.0, -1, seed=0)
+    assert np.array_equal(neutral_pair_distance_samples(3, 0.0, 4, seed=0),
+                          np.zeros(4))
+    assert neutral_pair_distance_samples(3, 1.0, 0, seed=0).shape == (0,)
 
 
 # --- draw-order guards ------------------------------------------------------
@@ -287,3 +317,21 @@ def test_simulate_types_draw_order_is_pinned():
                    (2, 1, 2, 1), (2, 2, 2, 2), (2, 1, 1, 1), (2, 1, 2, 2),
                    (2, 2, 0, 2), (2, 2, 1, 1)]
     assert nxt == [453, 217, 486, 843, 894, 820, 67, 377, 882, 131]
+
+
+def test_forward_distance_stream_with_selection_is_pinned():
+    # the per-replicate forest runs of `forward-distance` at S > 0
+    p = mk(6, B=0.8, S=2.0)
+    got = cli._distance_chunk(p, 1.0, 5, range(20))
+    assert got == [1.4381894081111004, 1.3377164614310306, 0.6875842783361819,
+                   0.6216015108915329, 2.0, 0.5163507671509144,
+                   0.9238783974742064, 2.0, 0.9575480941439407,
+                   1.7967362977458823, 0.1619926624907897, 1.505913396383852,
+                   1.2416171650424228, 2.0, 0.1988037626700434, 2.0,
+                   1.6252774615119803, 0.9543716703005183, 0.319602068483158,
+                   0.8772293417679764]
+    rng = philox(5, 19)
+    forest = init_forest(p, 0.0, [int(u) for u in rng.integers(0, p.d, size=p.N)])
+    run_until(forest, p, 1.0, rng)
+    assert genealogical_distance(forest, 0, 1) == got[19]
+    assert int(rng.integers(1000)) == 527
