@@ -21,6 +21,8 @@ from __future__ import annotations
 
 import bisect
 import functools
+import itertools
+import math
 from dataclasses import dataclass
 
 from .model import ModelParams, ParamError, validate_params
@@ -357,31 +359,40 @@ class BpPath:
 def _jump_path(start: BpState, p: ModelParams, T: float, rng, cache: dict,
                transitions_of) -> BpPath:
     """Event-by-event path on [0, T] of a time-homogeneous jump chain whose
-    positive-rate transitions out of a state are transitions_of(state),
-    memoized per state in cache."""
+    positive-rate transitions out of a state are transitions_of(state).
+
+    Each state is compiled once into cache as a row: its transitions,
+    their cumulative rates, the total rate, and links to the targets' rows
+    (filled on first use, so a path follows links instead of hashing
+    states).  The cumulative rates are the running sums a sequential scan
+    would form, with the last one raised to infinity: bisection then picks
+    the same transition as the scan, whose fallback is the last one."""
+    def compile_row(state):
+        row = cache.get(state)
+        if row is None:
+            trans = transitions_of(state)
+            cum = list(itertools.accumulate(tr.rate for tr in trans))
+            if cum:
+                cum[-1] = math.inf
+            row = cache[state] = (trans, cum, sum(tr.rate for tr in trans),
+                                  [None] * len(trans))
+        return row
+
     t = 0.0
-    state = start
+    row = compile_row(start)
     events = []
     while True:
-        trans = cache.get(state)
-        if trans is None:
-            trans = cache[state] = transitions_of(state)
-        total = sum(tr.rate for tr in trans)
+        trans, cum, total, succ = row
         if total <= 0.0:
             break
         t += rng.exponential(1.0 / total)
         if t >= T:
             break
-        x = rng.uniform(0.0, total)
-        acc = 0.0
-        chosen = trans[-1]
-        for tr in trans:
-            acc += tr.rate
-            if x < acc:
-                chosen = tr
-                break
-        events.append((t, chosen))
-        state = chosen.target
+        i = bisect.bisect_right(cum, rng.random() * total)
+        events.append((t, trans[i]))
+        row = succ[i]
+        if row is None:
+            row = succ[i] = compile_row(trans[i].target)
     return BpPath(initial=start, events=tuple(events), horizon=T, params=p)
 
 
@@ -389,8 +400,10 @@ def simulate_bp(start: BpState, p: ModelParams, T: float, rng,
                 transition_cache: dict | None = None) -> BpPath:
     """Exact event-by-event simulation of the backward chain up to time T.
 
-    A shared transition_cache (state -> enumeration) may be passed in when
-    many paths run over the same small reachable set.
+    A shared transition_cache may be passed in when many paths run over
+    the same small reachable set; it maps each visited state to its
+    compiled row (transitions, cumulative rates, total rate, links to the
+    targets' rows).
     """
     if T < 0:
         raise ParamError("nonnegative horizon required")

@@ -39,7 +39,7 @@ from .exact import duality_reports
 from .forward import (genealogical_distance, init_forest,
                       neutral_pair_distance_samples, run_until)
 from .transformed import (first_coalescence_time, make_inhomogeneous_kernel,
-                          sample_conditioned_lines)
+                          sample_transformed_path)
 from .reduced import (CatChainSpec, DistChainSpec, Y_STATES, cat_equilibrium,
                       chains_vs_bp, dist_survival, dist_taylor_coeffs)
 
@@ -315,14 +315,17 @@ def _exp_forward_distance(cfg: ExperimentConfig, out: str) -> list:
 
 
 def _conditioned_chunk(p, T, seed, tagged, nu, reps) -> list:
+    # only the coalescence time is read, so the paths are not turned into
+    # lines; one kernel, start and table cache serve the whole chunk
     kernel = make_inhomogeneous_kernel(p, nu, T)
+    start = canonical_start(p, tagged)
     cache: dict = {}
     out = []
     for rep in reps:
         rng = np.random.Generator(np.random.Philox(key=(seed, rep)))
-        sample = sample_conditioned_lines(p, tagged, nu, T, rng,
-                                          kernel=kernel, cache=cache)
-        out.append(first_coalescence_time(sample.path))
+        path = sample_transformed_path(kernel, start, rng, t_end=T,
+                                       cache=cache)
+        out.append(first_coalescence_time(path))
     return out
 
 

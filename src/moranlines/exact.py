@@ -9,6 +9,7 @@ equals the weighted backward expectation of its initial average.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from collections import deque
@@ -49,6 +50,8 @@ class GeneratorMatrix:
 
     Rows sum to zero; fk_diagonal, when present, is the extra diagonal
     weight turning e^{tQ} into the weighted (non-conservative) semigroup.
+    The uniformization operator is built on first use and kept on the
+    instance, so every expm_apply call on one generator shares it.
     """
 
     states: tuple
@@ -59,6 +62,25 @@ class GeneratorMatrix:
     @property
     def n(self) -> int:
         return len(self.states)
+
+    @functools.cached_property
+    def _uniformized(self) -> tuple:
+        """(c, lam, P): the shift c = max V, the rate lam and the jump
+        matrix P = I + (Q + diag(V - c)) / lam; P is None when lam <= 0."""
+        A = self.Q
+        c = 0.0
+        if self.fk_diagonal is not None:
+            c = float(np.max(self.fk_diagonal))
+            A = A + sparse.diags(self.fk_diagonal - c)
+        lam = float(np.max(-A.diagonal()))
+        if lam <= 0.0:
+            return c, lam, None
+        return c, lam, (A / lam + sparse.identity(self.n, format="csr")).tocsr()
+
+    @functools.cached_property
+    def _jump_transposed(self) -> sparse.csr_matrix:
+        """P^T of the uniformized chain, for the transposed semigroup."""
+        return self._uniformized[2].T.tocsr()
 
 
 def _assemble(n, entries):
@@ -154,27 +176,22 @@ def expm_apply(gen: GeneratorMatrix, v, t: float, transpose: bool = False,
 
     The weighted semigroup is shifted by c = max V so that the jump matrix
     stays substochastic; the Poisson series is truncated once the tail
-    bound drops below tol per entry.
+    bound drops below tol per entry.  The jump matrix comes from the
+    generator (built once); the truncation and weights depend on t and v
+    and are computed per call.
     """
     if t < 0:
         raise ParamError("nonnegative time required")
     v = np.asarray(v, dtype=float)
     if v.shape != (gen.n,):
         raise ParamError("vector length must match state count")
-    A = gen.Q
-    c = 0.0
-    if gen.fk_diagonal is not None:
-        c = float(np.max(gen.fk_diagonal))
-        A = A + sparse.diags(gen.fk_diagonal - c)
     if t == 0.0:
         return v.copy()
-    diag = A.diagonal()
-    lam = float(np.max(-diag))
-    if lam <= 0.0:
+    c, lam, P = gen._uniformized
+    if P is None:
         return np.exp(c * t) * v
-    P = (A / lam + sparse.identity(gen.n, format="csr")).tocsr()
     if transpose:
-        P = P.T.tocsr()
+        P = gen._jump_transposed
     mu = lam * t
     bound = max(float(np.max(np.abs(v))), float(np.sum(np.abs(v))), 1.0)
     tol_eff = max(tol / (np.exp(c * t) * bound), 1e-300)
@@ -242,6 +259,9 @@ def config_law_vector(p: ModelParams, mu, configs) -> np.ndarray:
             vec = arr.copy()
         else:
             raise ParamError("unrecognized type-law shape")
+    # NaN passes both checks below, since every comparison with it is false
+    if not np.all(np.isfinite(vec)):
+        raise ParamError("type law must be finite")
     if np.any(vec < -1e-15):
         raise ParamError("type law must be nonnegative")
     total = float(vec.sum())

@@ -17,12 +17,14 @@ supremum over any span is attained at a knot.
 """
 from __future__ import annotations
 
+import bisect
 import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ModelParams, ParamError, validate_params
+from .model import (DENSE_SOLVE_BYTES, BudgetError, ModelParams, ParamError,
+                    validate_params)
 from .backward import (BpPath, BpState, BpTransition, LinePath, _jump_path,
                        canonical_start, enumerate_transitions, reverse_to_lines)
 from .exact import (GeneratorMatrix, build_bp_generator, build_type_generator,
@@ -54,18 +56,22 @@ class HTTable:
     interpolated values per backward state.  Interpolation error is
     O(step^2) in t and is documented as part of the sampler's budget;
     exact single-time values should use the direct computation instead.
+    The table holds (grid points) x d^N floats; above DENSE_SOLVE_BYTES
+    it is refused before the type chain is built or stepped.
     """
 
     def __init__(self, p: ModelParams, mu, T: float, step: float = 1e-3,
                  type_gen: GeneratorMatrix | None = None):
         validate_params(p)
-        if T <= 0:
+        if not 0 < T < np.inf:
             raise ParamError("positive horizon required")
+        n = max(int(np.ceil(T / step)), 1)
+        if 8 * (n + 1) * p.d ** p.N > DENSE_SOLVE_BYTES:
+            raise BudgetError("exact solve infeasible")
         if type_gen is None:
             type_gen = build_type_generator(p)
         self.p = p
         self.T = float(T)
-        n = max(int(np.ceil(T / step)), 1)
         self.grid = np.linspace(0.0, T, n + 1)
         self.step = T / n
         mu_vec = config_law_vector(p, mu, type_gen.states)
@@ -91,7 +97,10 @@ class HTTable:
     def value(self, t: float, state: BpState) -> float:
         if not (0.0 <= t <= self.T):
             raise ParamError("time outside horizon")
-        return _interp(self.series(state), t, self)
+        ser = self.series(state)
+        k = min(int(t / self.step), len(self.grid) - 2)
+        theta = (t - self.grid[k]) / self.step
+        return float((1.0 - theta) * ser[k] + theta * ser[k + 1])
 
 
 @dataclass(frozen=True)
@@ -169,12 +178,6 @@ class _StateTables:
         self.suffix_max = np.maximum.accumulate(ratio[::-1])[::-1]
 
 
-def _interp(ser: np.ndarray, t: float, ht: HTTable) -> float:
-    k = min(int(t / ht.step), len(ht.grid) - 2)
-    theta = (t - ht.grid[k]) / ht.step
-    return float((1.0 - theta) * ser[k] + theta * ser[k + 1])
-
-
 def sample_transformed_path(kernel: HTransformedKernel, start: BpState, rng,
                             t_end: float | None = None,
                             cache: dict | None = None) -> BpPath:
@@ -198,6 +201,7 @@ def sample_transformed_path(kernel: HTransformedKernel, start: BpState, rng,
     if t_end > ht.T:
         raise ParamError("horizon beyond table range")
     tables = cache if cache is not None else {}
+    last = len(ht.grid) - 2
     t, state, events = 0.0, start, []
     while True:
         tab = tables.get(state)
@@ -206,7 +210,7 @@ def sample_transformed_path(kernel: HTransformedKernel, start: BpState, rng,
             tables[state] = tab
         if not tab.trans:
             break
-        k0 = min(int(t / ht.step), len(ht.grid) - 2)
+        k0 = min(int(t / ht.step), last)
         lam_bar = float(tab.suffix_max[k0])
         if lam_bar <= 0.0:
             break
@@ -215,24 +219,25 @@ def sample_transformed_path(kernel: HTransformedKernel, start: BpState, rng,
             t = t + rng.exponential(1.0 / lam_bar)
             if t >= t_end:
                 break
-            den_t = _interp(tab.den, t, ht)
+            # one grid index and weight per proposal, shared by every
+            # series; item() reads plain floats, with the same arithmetic
+            k = min(int(t / ht.step), last)
+            theta = (t - ht.grid.item(k)) / ht.step
+            w0 = 1.0 - theta
+            den_t = w0 * tab.den.item(k) + theta * tab.den.item(k + 1)
             if den_t <= 0.0:
                 raise ParamError("h positivity violated")
-            lam_t = _interp(tab.num, t, ht) / den_t
-            if rng.uniform(0.0, lam_bar) < lam_t:
+            lam_t = (w0 * tab.num.item(k) + theta * tab.num.item(k + 1)) / den_t
+            if rng.random() * lam_bar < lam_t:
                 accepted = True
                 break
         if not accepted:
             break
-        weights = [tr.rate * _interp(ser, t, ht)
+        weights = [tr.rate * (w0 * ser.item(k) + theta * ser.item(k + 1))
                    for tr, ser in zip(tab.trans, tab.tgt)]
-        x = rng.uniform(0.0, sum(weights))
-        acc, chosen = 0.0, tab.trans[-1]
-        for tr, w in zip(tab.trans, weights):
-            acc += w
-            if x < acc:
-                chosen = tr
-                break
+        x = rng.random() * sum(weights)
+        chosen = tab.trans[min(bisect.bisect_right(
+            list(itertools.accumulate(weights)), x), len(tab.trans) - 1)]
         events.append((t, chosen))
         state = chosen.target
     return BpPath(initial=start, events=tuple(events), horizon=t_end,

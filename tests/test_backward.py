@@ -11,7 +11,7 @@ from moranlines import (BpPath, ParamError, canonical_start,
                         path_V_integral, reverse_to_lines, simulate_bp)
 from moranlines.backward import TRANSITION_KINDS, reverse_step_path
 
-from helpers import mk, philox, three_se
+from helpers import mk, philox, rand_chi, rand_rows, three_se
 
 FULL2 = (0, 1)
 FULL3 = (0, 1, 2)
@@ -176,6 +176,44 @@ def test_simulate_bp_draw_order_is_pinned():
     assert [tr.kind for _t, tr in path.events] == [
         "2bi", "2bi", "2cii", "1a", "2ai", "2bi", "2bi", "2bii", "2dii", "2di",
         "2ci"]
+
+
+def _scan_path(start, p, T, rng):
+    """Reference jump path: re-sums the rates at every visit and picks the
+    event by a linear scan of the running sum."""
+    t, state, events = 0.0, start, []
+    while True:
+        trans = enumerate_transitions(state, p)
+        total = sum(tr.rate for tr in trans)
+        if total <= 0.0:
+            break
+        t += rng.exponential(1.0 / total)
+        if t >= T:
+            break
+        x = rng.uniform(0.0, total)
+        acc, chosen = 0.0, trans[-1]
+        for tr in trans:
+            acc += tr.rate
+            if x < acc:
+                chosen = tr
+                break
+        events.append((t, chosen))
+        state = chosen.target
+    return events
+
+
+def test_compiled_rows_match_linear_scan():
+    # cumulative rates picked by bisection, the rows' links and the shared
+    # cache give the scan's paths exactly, draw for draw
+    rng = philox(24, 0)
+    p = mk(3, d=3, B=0.9, b=rand_rows(rng, 3), S=1.5, chi=rand_chi(rng, 3))
+    start = canonical_start(p, {0: 0, 1: 2, 2: 2})
+    cache = {}
+    for seed in range(100):
+        got = simulate_bp(start, p, 3.0, philox(24, seed + 1),
+                          transition_cache=cache).events
+        want = _scan_path(start, p, 3.0, philox(24, seed + 1))
+        assert got == tuple(want)
 
 
 def test_neutral_run_keeps_subsets_full():

@@ -182,6 +182,8 @@ BAD_CASES = [
      {**DUALITY_CFG, "horizon": float("inf")}, "must be finite"),
     ("negative_horizon",
      {**DUALITY_CFG, "horizon": -1.0}, "horizon must be nonnegative"),
+    ("nan_nu",
+     {**DUALITY_CFG, "nu": [float("nan"), 1.0]}, "type law must be finite"),
     ("nan_B",
      {**DUALITY_CFG, "model": {**DUALITY_CFG["model"], "B": float("nan")}},
      "mutation rate"),
@@ -232,6 +234,19 @@ def test_state_budget_exit_3(tmp_path, capsys):
     assert not (out / "manifest.csv").exists()
 
 
+def test_table_budget_exit_3(tmp_path, capsys):
+    # the conditioned sampler's grid table at N = 10, T = 1,000 would take
+    # 8.2 GB; it is refused before anything is built
+    cfg = write_cfg(tmp_path / "cfg.json", {
+        **CONDITIONED_CFG, "horizon": 1000.0,
+        "model": {**CONDITIONED_CFG["model"], "N": 10}})
+    out = tmp_path / "out"
+    rc = main(["conditioned-distance", "--config", cfg, "--out", str(out)])
+    assert rc == 3
+    assert "exact solve infeasible" in capsys.readouterr().err
+    assert not (out / "manifest.csv").exists()
+
+
 def test_numerical_failure_exit_4(tmp_path, capsys, monkeypatch):
     def fail(cfg, out):
         raise ArithmeticError("harmonic residual 1.0e-03 exceeds 1.0e-08")
@@ -263,6 +278,17 @@ def test_failed_run_writes_nothing(tmp_path, capsys):
     # the directory may exist, but nothing in it: no partial outputs,
     # no manifest, no temp files
     assert not out.exists() or list(out.iterdir()) == []
+
+
+def test_nan_nu_conditioned_exit_2(tmp_path, capsys):
+    # NaN in nu once ran to completion with survival 1 and se 0
+    cfg = write_cfg(tmp_path / "cfg.json",
+                    {**CONDITIONED_CFG, "nu": [float("nan"), 1.0]})
+    out = tmp_path / "out"
+    rc = main(["conditioned-distance", "--config", cfg, "--out", str(out)])
+    assert rc == 2
+    assert "type law must be finite" in capsys.readouterr().err
+    assert not (out / "manifest.csv").exists()
 
 
 def test_cat_equilibrium_plot_series(tmp_path):

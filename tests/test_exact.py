@@ -149,11 +149,25 @@ def test_expm_matches_dense_pade_with_weight():
     A = gen.Q.toarray() + np.diag(gen.fk_diagonal)
     rng = philox(7, 0)
     v = rng.random(gen.n)
-    for t in (0.2, 1.3):
-        dense = scipy.linalg.expm(t * A)
-        assert np.allclose(expm_apply(gen, v, t), dense @ v, atol=1e-9)
-        assert np.allclose(expm_apply(gen, v, t, transpose=True),
-                           dense.T @ v, atol=1e-9)
+    # each generator keeps its own jump operator: a second generator of the
+    # same size and an unweighted one are interleaved with both
+    # orientations, in either order, so a cache that served the wrong
+    # orientation or another generator's matrix would fail
+    other = build_bp_generator(p, canonical_start(p, {0: 1, 1: 0}))
+    assert other.n == gen.n
+    plain = build_type_generator(p)
+    cases = [(gen, A, v),
+             (other, other.Q.toarray() + np.diag(other.fk_diagonal),
+              rng.random(other.n)),
+             (plain, plain.Q.toarray(), rng.random(plain.n))]
+    for t, order in ((0.2, (True, False)), (1.3, (False, True)),
+                     (0.7, (True, False))):
+        for g, dense_A, w in cases:
+            dense = scipy.linalg.expm(t * dense_A)
+            for transpose in order:
+                want = dense.T @ w if transpose else dense @ w
+                assert np.allclose(expm_apply(g, w, t, transpose=transpose),
+                                   want, atol=1e-9)
 
 
 def test_expm_conserves_mass_without_weight():
@@ -317,6 +331,13 @@ def test_config_law_vector_shapes_and_errors():
         config_law_vector(p, np.full(4, 0.3), configs)
     with pytest.raises(ParamError, match="nonnegative"):
         config_law_vector(p, np.array([1.5, -0.5, 0.0, 0.0]), configs)
+    # NaN compares false with every bound, so it needs its own check
+    for bad in ((float("nan"), 1.0), np.array([0.5, float("nan"), 0.5, 0.0]),
+                {(0, 0): float("nan"), (1, 1): 1.0},
+                {(0, 0): float("inf"), (1, 1): 1.0},
+                lambda c: float("nan")):
+        with pytest.raises(ParamError, match="type law must be finite"):
+            config_law_vector(p, bad, configs)
 
 
 # -------------------------------------------------------------- equivariance

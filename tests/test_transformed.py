@@ -8,9 +8,11 @@ import numpy as np
 import pytest
 from scipy.stats import chi2
 
-from moranlines import (ParamError, canonical_start, enumerate_transitions,
-                        finite_stationary_law, init_forest, make_state,
-                        path_value, run_until)
+import moranlines.model as model
+import moranlines.transformed as transformed
+from moranlines import (BudgetError, ParamError, canonical_start, cli,
+                        enumerate_transitions, finite_stationary_law,
+                        init_forest, make_state, path_value, run_until)
 from moranlines.exact import build_bp_generator
 from moranlines.transformed import (HTTable, HTransformedKernel,
                                     conditioned_functional_check,
@@ -87,6 +89,26 @@ def test_table_values_match_closed_form():
         assert table.value(r, merged) == pytest.approx(nu0, abs=1e-6)
 
 
+def test_table_byte_budget_refuses_before_allocating(monkeypatch):
+    # N = 10 at T = 1,000: 1,000,001 grid rows of 1,024 floats (8.2 GB) and
+    # a million semigroup steps.  The refusal must come before the table is
+    # allocated or stepped, so either one fails the test instead.
+    real_empty = np.empty
+
+    def guarded_empty(shape, *args, **kwargs):
+        assert 8 * np.prod(shape) <= model.DENSE_SOLVE_BYTES, \
+            "table allocated before the budget check"
+        return real_empty(shape, *args, **kwargs)
+
+    def no_step(*args, **kwargs):
+        raise AssertionError("table stepped before the budget check")
+
+    monkeypatch.setattr(np, "empty", guarded_empty)
+    monkeypatch.setattr(transformed, "expm_apply", no_step)
+    with pytest.raises(BudgetError, match="exact solve infeasible"):
+        HTTable(mk(10), (0.5, 0.5), 1000.0)
+
+
 def test_conditioned_coalescence_rate_formula():
     p = mk(2, B=0.0)
     nu0, T = 0.3, 2.0
@@ -126,8 +148,27 @@ def test_homogeneous_sampler_draw_order_is_pinned():
     start = canonical_start(p, {0: 0, 1: 1})
     kernel = make_homogeneous_kernel(p, start)
     path = sample_transformed_path(kernel, start, philox(22, 0), t_end=5.0)
-    assert [tr.kind for _t, tr in path.events] == [
-        "1a", "2bi", "2ai", "2bi", "2bi", "2bi", "2bi"]
+    assert [(t, tr.kind) for t, tr in path.events] == [
+        (0.36904446310789873, "1a"), (0.4552447684723227, "2bi"),
+        (0.7184964689590299, "2ai"), (2.4699563511850897, "2bi"),
+        (3.5473324544167397, "2bi"), (4.634683833939559, "2bi"),
+        (4.849742927224235, "2bi")]
+
+
+def test_inhomogeneous_sampler_stream_is_pinned():
+    # coalescence times of `conditioned-distance` replicates, recorded from
+    # a seeded run; a change in the order or number of the draws, or a
+    # shift of the thinning or event-choice odds, moves them
+    p = mk(3, d=3, B=1.0, S=1.0)
+    inf = float("inf")
+    got = cli._conditioned_chunk(p, 1.0, 5, {0: 0, 1: 2}, np.full(3, 1 / 3),
+                                 range(20))
+    assert got == [
+        0.45072486291357783, inf, inf, 0.8955536981439961, inf, inf, inf,
+        inf, 0.7876242633687965, 0.23696135334181184, inf,
+        0.7752719387004713, inf, 0.4589690365102721, inf,
+        0.8535625618269429, 0.38319037846642945, inf, 0.1003117693537816,
+        inf]
 
 
 def test_conditioned_line_endpoints():
