@@ -13,7 +13,7 @@ from .model import (BudgetError, MixedMomentTable, ModelParams, ParamError,
                     moment_recurrence_residuals, pn_probability,
                     resampling_rate, two_type_mutation_rates, validate_params,
                     wf_mixed_moments, wf_single_moment)
-from .forward import (HmmEvent, LineageForest, cat_fixation_type,
+from .forward import (ForestNode, HmmEvent, LineageForest, cat_fixation_type,
                       genealogical_distance, init_forest,
                       neutral_pair_distance_samples, path_value, run_until,
                       simulate_types, step_forest)
@@ -32,12 +32,12 @@ from .transformed import (ConditionedSample, FunctionalCheck, HTTable,
                           make_homogeneous_kernel, make_inhomogeneous_kernel,
                           sample_conditioned_lines, sample_config,
                           sample_transformed_path, transformed_rates)
-from .reduced import (CatChainSpec, CatEquilibrium, ChainVsBpReport,
-                      DistChainSpec, LemmaResidualReport, SurvivalTable,
-                      TaylorCoeffs, Y_STATES, cat_chain_vs_bp,
-                      cat_equilibrium, cat_generator, dist_chain_vs_bp,
-                      dist_generator, dist_survival, dist_taylor_coeffs,
-                      lemma_ode_residual)
+from .reduced import (ABSORBED, CatChainSpec, CatEquilibrium,
+                      ChainVsBpReport, DistChainSpec, LemmaResidualReport,
+                      SurvivalTable, TaylorCoeffs, Y_STATES, cat_chain_vs_bp,
+                      cat_equilibrium, cat_generator, chains_vs_bp,
+                      dist_chain_vs_bp, dist_generator, dist_survival,
+                      dist_taylor_coeffs, lemma_ode_residual)
 
 __version__ = "0.1.0"
 
@@ -50,7 +50,8 @@ __all__ = [
     "two_type_mutation_rates", "validate_params", "wf_mixed_moments",
     "wf_single_moment",
     # forward
-    "HmmEvent", "LineageForest", "cat_fixation_type", "genealogical_distance",
+    "ForestNode", "HmmEvent", "LineageForest", "cat_fixation_type",
+    "genealogical_distance",
     "init_forest", "neutral_pair_distance_samples", "path_value", "run_until",
     "simulate_types", "step_forest",
     # backward
@@ -69,9 +70,9 @@ __all__ = [
     "sample_conditioned_lines", "sample_config", "sample_transformed_path",
     "transformed_rates",
     # reduced
-    "CatChainSpec", "CatEquilibrium", "ChainVsBpReport", "DistChainSpec",
-    "LemmaResidualReport", "SurvivalTable", "TaylorCoeffs", "Y_STATES",
-    "cat_chain_vs_bp",
-    "cat_equilibrium", "cat_generator", "dist_chain_vs_bp", "dist_generator",
-    "dist_survival", "dist_taylor_coeffs", "lemma_ode_residual",
+    "ABSORBED", "CatChainSpec", "CatEquilibrium", "ChainVsBpReport",
+    "DistChainSpec", "LemmaResidualReport", "SurvivalTable", "TaylorCoeffs",
+    "Y_STATES", "cat_chain_vs_bp", "cat_equilibrium", "cat_generator",
+    "chains_vs_bp", "dist_chain_vs_bp", "dist_generator", "dist_survival",
+    "dist_taylor_coeffs", "lemma_ode_residual",
 ]

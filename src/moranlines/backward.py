@@ -38,8 +38,8 @@ __all__ = [
     "feynman_kac_V",
     "simulate_bp",
     "path_V_integral",
-    "reverse_step_path",
     "reverse_to_lines",
+    "TRANSITION_KINDS",
 ]
 
 TRANSITION_KINDS = ("1a", "1bi", "1bii", "2ai", "2aii", "2bi", "2bii",

@@ -244,6 +244,20 @@ def _exp_duality(cfg: ExperimentConfig, out: str) -> list:
     return ["duality.csv", "plotdata.csv"]
 
 
+def _write_survival(out: str, name: str, series: str, times, survives):
+    """Write the survival estimate and its standard error per time t, from
+    the replicate indicators survives(t), and plot the estimates."""
+    rows = []
+    for t in times:
+        ind = survives(t)
+        est = float(ind.mean())
+        se = float(ind.std(ddof=1) / np.sqrt(len(ind))) if len(ind) > 1 else 0.0
+        rows.append((t, est, se))
+    _write_csv(os.path.join(out, name), ("t", "survival", "se"), rows)
+    emit_plotdata(os.path.join(out, "plotdata.csv"),
+                  [(series, t, est) for t, est, _se in rows])
+
+
 def _fan_out(chunk_fn, args: tuple, reps: int, workers: int) -> np.ndarray:
     """chunk_fn(*args, rep_indices) over replicates 0..reps-1, split by
     stride across worker processes; results come back in replicate order,
@@ -284,16 +298,8 @@ def _exp_forward_distance(cfg: ExperimentConfig, out: str) -> list:
     else:
         dists = _fan_out(_distance_chunk, (p, T, cfg.seed), reps, cfg.workers)
 
-    rows = []
-    plot = []
-    for t in times:
-        ind = dists > 2.0 * t
-        est = float(ind.mean())
-        se = float(ind.std(ddof=1) / np.sqrt(len(ind))) if len(ind) > 1 else 0.0
-        rows.append((t, est, se))
-        plot.append(("distance-survival", t, est))
-    _write_csv(os.path.join(out, "distance_survival.csv"),
-               ("t", "survival", "se"), rows)
+    _write_survival(out, "distance_survival.csv", "distance-survival",
+                    times, lambda t: dists > 2.0 * t)
 
     # one replicate's full event trace and distance matrix, for inspection
     rng = np.random.Generator(np.random.Philox(key=(cfg.seed, 0)))
@@ -308,8 +314,6 @@ def _exp_forward_distance(cfg: ExperimentConfig, out: str) -> list:
                         for j in range(p.N)] for i in range(p.N)]
     _write_csv(os.path.join(out, "distances.csv"),
                ["site"] + list(range(p.N)), dist_rows)
-
-    emit_plotdata(os.path.join(out, "plotdata.csv"), plot)
     return ["distance_survival.csv", "trace.csv", "distances.csv",
             "plotdata.csv"]
 
@@ -340,17 +344,8 @@ def _exp_conditioned(cfg: ExperimentConfig, out: str) -> list:
     sigmas = _fan_out(_conditioned_chunk, (p, T, cfg.seed, tagged, nu),
                       cfg.replicates, cfg.workers)
 
-    rows = []
-    plot = []
-    for t in times:
-        ind = sigmas > t
-        est = float(ind.mean())
-        se = float(ind.std(ddof=1) / np.sqrt(len(ind))) if len(ind) > 1 else 0.0
-        rows.append((t, est, se))
-        plot.append(("conditioned-survival", t, est))
-    _write_csv(os.path.join(out, "conditioned_survival.csv"),
-               ("t", "survival", "se"), rows)
-    emit_plotdata(os.path.join(out, "plotdata.csv"), plot)
+    _write_survival(out, "conditioned_survival.csv", "conditioned-survival",
+                    times, lambda t: sigmas > t)
     return ["conditioned_survival.csv", "plotdata.csv"]
 
 

@@ -30,7 +30,6 @@ __all__ = [
     "build_bp_generator",
     "expm_apply",
     "h_star",
-    "h_star_vector",
     "config_law_vector",
     "check_duality",
     "duality_reports",
@@ -41,7 +40,9 @@ __all__ = [
     "permute_bp_state",
 ]
 
-STATE_CAP = 200_000
+STATE_CAP = 200_000  # most configurations or backward states enumerated
+EXPM_TOL = 1e-11  # per-entry accuracy target of the uniformized semigroup
+HARMONIC_TOL = 1e-8  # largest sup-norm of (Q + diag V) h taken as harmonic
 
 
 @dataclass(frozen=True)
@@ -98,17 +99,22 @@ def _assemble(n, entries):
     return sparse.csr_matrix((vals, (rows, cols)), shape=(n, n))
 
 
-def build_type_generator(p: ModelParams, cap: int = STATE_CAP) -> GeneratorMatrix:
+def _type_configs(p: ModelParams) -> tuple:
+    """All d^N type configurations, refused above STATE_CAP up front."""
+    if p.d ** p.N > STATE_CAP:
+        raise BudgetError("exact solve infeasible")
+    return tuple(itertools.product(range(p.d), repeat=p.N))
+
+
+def build_type_generator(p: ModelParams) -> GeneratorMatrix:
     """Generator of the full type-configuration chain on K^I.
 
     Mutation rewrites one site's type; resampling copies the type of one
     site onto another at the selection-tilted pair rate.
     """
     validate_params(p)
-    n = p.d ** p.N
-    if n > cap:
-        raise BudgetError("exact solve infeasible")
-    configs = tuple(itertools.product(range(p.d), repeat=p.N))
+    configs = _type_configs(p)
+    n = len(configs)
     index = {c: k for k, c in enumerate(configs)}
     entries = {}
 
@@ -136,9 +142,9 @@ def build_type_generator(p: ModelParams, cap: int = STATE_CAP) -> GeneratorMatri
     return GeneratorMatrix(states=configs, index=index, Q=_assemble(n, entries))
 
 
-def build_bp_generator(p: ModelParams, starts, with_fk: bool = True,
-                       cap: int = STATE_CAP) -> GeneratorMatrix:
-    """Generator of the backward chain on the set reachable from starts."""
+def build_bp_generator(p: ModelParams, starts) -> GeneratorMatrix:
+    """Weighted generator of the backward chain on the set reachable from
+    starts: the rates, plus V as the diagonal weight."""
     validate_params(p)
     if isinstance(starts, BpState):
         starts = [starts]
@@ -157,26 +163,25 @@ def build_bp_generator(p: ModelParams, starts, with_fk: bool = True,
         for tr in enumerate_transitions(s, p):
             c = index.get(tr.target)
             if c is None:
-                if len(states) >= cap:
+                if len(states) >= STATE_CAP:
                     raise BudgetError("exact solve infeasible")
                 c = index[tr.target] = len(states)
                 states.append(tr.target)
                 queue.append(tr.target)
             entries[(r, c)] = entries.get((r, c), 0.0) + tr.rate
-    n = len(states)
-    fk = np.array([feynman_kac_V(s, p) for s in states]) if with_fk else None
+    fk = np.array([feynman_kac_V(s, p) for s in states])
     return GeneratorMatrix(states=tuple(states), index=index,
-                           Q=_assemble(n, entries), fk_diagonal=fk)
+                           Q=_assemble(len(states), entries), fk_diagonal=fk)
 
 
-def expm_apply(gen: GeneratorMatrix, v, t: float, transpose: bool = False,
-               tol: float = 1e-11) -> np.ndarray:
+def expm_apply(gen: GeneratorMatrix, v, t: float,
+               transpose: bool = False) -> np.ndarray:
     """Apply e^{t(Q + diag V)} (V from gen.fk_diagonal, if any) to v by
     uniformization.
 
     The weighted semigroup is shifted by c = max V so that the jump matrix
     stays substochastic; the Poisson series is truncated once the tail
-    bound drops below tol per entry.  The jump matrix comes from the
+    bound drops below EXPM_TOL per entry.  The jump matrix comes from the
     generator (built once); the truncation and weights depend on t and v
     and are computed per call.
     """
@@ -194,7 +199,7 @@ def expm_apply(gen: GeneratorMatrix, v, t: float, transpose: bool = False,
         P = gen._jump_transposed
     mu = lam * t
     bound = max(float(np.max(np.abs(v))), float(np.sum(np.abs(v))), 1.0)
-    tol_eff = max(tol / (np.exp(c * t) * bound), 1e-300)
+    tol_eff = max(EXPM_TOL / (np.exp(c * t) * bound), 1e-300)
     # smallest K > mu with the Chernoff tail e^{-mu} (e mu / K)^K below
     # tol_eff; poisson.isf would be the obvious choice but returns NaN for
     # quantiles under ~1e-16, which the exp(c t) scaling reaches routinely
@@ -282,8 +287,11 @@ class DualityReport:
         return abs(self.lhs - self.rhs)
 
 
-def _configs_array(type_gen: GeneratorMatrix) -> np.ndarray:
-    return np.array(type_gen.states, dtype=np.int64)
+def _project(laws: np.ndarray, s: BpState, configs_arr: np.ndarray,
+             d: int) -> np.ndarray:
+    """Indicator average of one backward state under one type law or each
+    row of laws; one state at a time, so no states x d^N array is built."""
+    return laws @ h_star_vector(s, configs_arr, d)
 
 
 def _duality(p: ModelParams, mu, starts, times, type_gen: GeneratorMatrix,
@@ -296,29 +304,24 @@ def _duality(p: ModelParams, mu, starts, times, type_gen: GeneratorMatrix,
     time-zero averages under the weighted backward semigroup and read
     each start's entry.
     """
-    configs_arr = _configs_array(type_gen)
+    configs_arr = np.array(type_gen.states, dtype=np.int64)
     mu_vec = config_law_vector(p, mu, type_gen.states)
-    masks = np.array([h_star_vector(s, configs_arr, p.d)
-                      for s in bp_gen.states], dtype=float)
+    laws = np.array([expm_apply(type_gen, mu_vec, t, transpose=True)
+                     for t in times]).reshape(len(times), type_gen.n)
+    lhs = [_project(laws, s, configs_arr, p.d) for s in starts]
+    g0 = np.array([_project(mu_vec, s, configs_arr, p.d)
+                   for s in bp_gen.states])
     rows = [bp_gen.index[s] for s in starts]
-    g0 = masks @ mu_vec
-    lhs = [masks[rows] @ expm_apply(type_gen, mu_vec, t, transpose=True)
-           for t in times]
     rhs = [expm_apply(bp_gen, g0, t)[rows] for t in times]
-    return [DualityReport(start=start, t=t, lhs=float(lhs[m][k]),
+    return [DualityReport(start=start, t=t, lhs=float(lhs[k][m]),
                           rhs=float(rhs[m][k]))
             for k, start in enumerate(starts) for m, t in enumerate(times)]
 
 
-def check_duality(p: ModelParams, start: BpState, mu, t: float,
-                  type_gen: GeneratorMatrix | None = None,
-                  bp_gen: GeneratorMatrix | None = None) -> DualityReport:
+def check_duality(p: ModelParams, start: BpState, mu,
+                  t: float) -> DualityReport:
     """Both sides of the moment identity at a single start state and time."""
-    if type_gen is None:
-        type_gen = build_type_generator(p)
-    if bp_gen is None:
-        bp_gen = build_bp_generator(p, start, with_fk=True)
-    return _duality(p, mu, [start], [t], type_gen, bp_gen)[0]
+    return duality_reports(p, mu, [start], [t])[0]
 
 
 def duality_reports(p: ModelParams, mu, starts, times) -> list:
@@ -327,33 +330,33 @@ def duality_reports(p: ModelParams, mu, starts, times) -> list:
     sets; reports run over starts, then times."""
     starts = list(starts)
     return _duality(p, mu, starts, times, build_type_generator(p),
-                    build_bp_generator(p, starts, with_fk=True))
+                    build_bp_generator(p, starts))
 
 
 def compute_h(p: ModelParams, gen: GeneratorMatrix, law=None,
-              verify: bool = True, harmonic_tol: float = 1e-8) -> np.ndarray:
+              verify: bool = True) -> np.ndarray:
     """Equilibrium indicator averages over the backward states.
 
     h(state) is the probability, under the stationary type law, that a
     configuration is compatible with the state.  Requires strictly
     positive values; when verify is set, checks that h is harmonic for
-    the weighted generator.
+    the weighted generator, to HARMONIC_TOL.
     """
     if gen.fk_diagonal is None:
         raise ParamError("weighted backward generator required")
+    configs = _type_configs(p)
     if law is None:
         law = finite_stationary_law(p)
-    configs = tuple(itertools.product(range(p.d), repeat=p.N))
     configs_arr = np.array(configs, dtype=np.int64)
     pi = config_law_vector(p, law, configs)
-    h = np.array([h_star_vector(s, configs_arr, p.d) @ pi for s in gen.states])
+    h = np.array([_project(pi, s, configs_arr, p.d) for s in gen.states])
     if np.min(h) <= 1e-14:
         raise ParamError("positivity assumption violated")
     if verify:
         res = harmonic_residual(gen, h)
-        if res > harmonic_tol:
+        if res > HARMONIC_TOL:
             raise ArithmeticError(
-                f"harmonic residual {res:.3e} exceeds {harmonic_tol:.1e}")
+                f"harmonic residual {res:.3e} exceeds {HARMONIC_TOL:.1e}")
     return h
 
 
@@ -365,8 +368,8 @@ def harmonic_residual(gen: GeneratorMatrix, h: np.ndarray) -> float:
     return float(np.max(np.abs(gen.Q @ h + gen.fk_diagonal * h)))
 
 
-def compute_hT(p: ModelParams, gen: GeneratorMatrix, mu, T: float, times,
-               type_gen: GeneratorMatrix | None = None) -> np.ndarray:
+def compute_hT(p: ModelParams, gen: GeneratorMatrix, mu, T: float,
+               times) -> np.ndarray:
     """Time-indexed indicator averages under the forward evolution run for
     the remaining horizon.
 
@@ -376,18 +379,15 @@ def compute_hT(p: ModelParams, gen: GeneratorMatrix, mu, T: float, times,
     """
     if T < 0:
         raise ParamError("nonnegative horizon required")
-    if type_gen is None:
-        type_gen = build_type_generator(p)
-    configs_arr = _configs_array(type_gen)
+    if not all(0.0 <= t <= T for t in times):
+        raise ParamError("time outside horizon")
+    type_gen = build_type_generator(p)
+    configs_arr = np.array(type_gen.states, dtype=np.int64)
     mu_vec = config_law_vector(p, mu, type_gen.states)
-    masks = np.array([h_star_vector(s, configs_arr, p.d)
-                      for s in gen.states], dtype=float)
-    out = np.empty((len(times), gen.n))
-    for k, t in enumerate(times):
-        if not (0.0 <= t <= T):
-            raise ParamError("time outside horizon")
-        rho = expm_apply(type_gen, mu_vec, T - t, transpose=True)
-        out[k] = masks @ rho
+    laws = np.array([expm_apply(type_gen, mu_vec, T - t, transpose=True)
+                     for t in times]).reshape(len(times), type_gen.n)
+    out = np.array([_project(laws, s, configs_arr, p.d)
+                    for s in gen.states]).T
     if np.any(out <= 0.0):
         raise ParamError("h positivity violated")
     return out

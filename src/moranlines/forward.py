@@ -38,6 +38,8 @@ __all__ = [
     "neutral_pair_distance_samples",
 ]
 
+FIXATION_HORIZON_PER_SITE = 50.0  # cat_fixation_type's clock budget per site
+
 
 @dataclass
 class ForestNode:
@@ -72,7 +74,6 @@ class LineageForest:
     nodes: list
     heads: list
     current_types: list
-    mutation_events: list  # (time, site, old_type, new_type)
 
     @property
     def N(self) -> int:
@@ -93,7 +94,7 @@ def init_forest(p: ModelParams, time_origin: float, types) -> LineageForest:
                         parent=None) for i, u in enumerate(types)]
     return LineageForest(time_origin=time_origin, now=time_origin,
                          nodes=nodes, heads=list(range(p.N)),
-                         current_types=list(types), mutation_events=[])
+                         current_types=list(types))
 
 
 def _draw_row(row, x):
@@ -120,7 +121,6 @@ def _step_at(forest: LineageForest, p: ModelParams, rng, t: float) -> HmmEvent:
         if u != old:
             forest.nodes[forest.heads[i]].mutations.append((t, u))
             forest.current_types[i] = u
-            forest.mutation_events.append((t, i, old, u))
         return HmmEvent(kind="mutation", time=t, src=i, dst=u)
 
     # resampling: ordered pair by thinning against the maximal tilted rate
@@ -224,8 +224,7 @@ def genealogical_distance(forest: LineageForest, i: int, j: int) -> float:
     return 2.0 * (forest.now - tau)
 
 
-def cat_fixation_type(p: ModelParams, c: float, types, t: float, rng,
-                      horizon_cap: float | None = None):
+def cat_fixation_type(p: ModelParams, c: float, types, t: float, rng):
     """Type at time t of the individual whose descendants take over.
 
     Starting from the given configuration at time c, the population runs
@@ -233,15 +232,14 @@ def cat_fixation_type(p: ModelParams, c: float, types, t: float, rng,
     individual; that individual's type at time t is returned.  Ancestry
     moves only through resampling, but mutations are simulated too since
     they drive the tilted pair rates.  Returns "pending" if the tracing
-    has not collapsed within the horizon cap (default 50 * N time units
-    of elapsed clock).
+    has not collapsed within FIXATION_HORIZON_PER_SITE * N time units of
+    elapsed clock.
     """
     forest = init_forest(p, c, types)
     c, t = forest.time_origin, float(t)
     if t < c:
         raise ParamError("evaluation time before start time")
-    if horizon_cap is None:
-        horizon_cap = 50.0 * p.N
+    horizon_cap = FIXATION_HORIZON_PER_SITE * p.N
     total = p.N * p.B + p.N * p.N / 2.0
     # anc[i]: which time-t site the line now at i descends from; tracked
     # only once the clock has crossed t, with the types frozen there

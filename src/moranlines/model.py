@@ -27,7 +27,6 @@ __all__ = [
     "resampling_rate",
     "two_type_mutation_rates",
     "finite_stationary_law",
-    "stationary_vector",
     "pn_probability",
     "wf_mixed_moments",
     "wf_single_moment",
@@ -39,6 +38,7 @@ LOG_SCALE_THRESHOLD = 200
 
 # largest dense generator, in bytes, that the count-chain solve may allocate
 DENSE_SOLVE_BYTES = 256 * 2**20
+COUNT_STATE_CAP = 100_000  # most count vectors the d > 2 solve accepts
 
 
 class ParamError(ValueError):
@@ -174,15 +174,15 @@ def _compositions(total: int, parts: int):
             yield (head,) + tail
 
 
-def finite_stationary_law(p: ModelParams, cap: int = 100_000) -> StationaryTypeLaw:
+def finite_stationary_law(p: ModelParams) -> StationaryTypeLaw:
     """Exact stationary law of the N-site type-frequency chain.
 
     d = 2 reduces to a birth-death chain on k = #type-1 sites with
         up(k)   = (N-k) B b(0,1) + k (N-k) (1/2 + S/2N)
         down(k) = k B b(1,0)     + k (N-k) (1/2 - S/2N)
     solved in product form.  d > 2 solves the count-vector chain as a
-    linear system, refusing above `cap` states or when its dense generator
-    would exceed DENSE_SOLVE_BYTES.
+    linear system, refusing above COUNT_STATE_CAP states or when its dense
+    generator would exceed DENSE_SOLVE_BYTES.
     """
     validate_params(p)
     if p.B <= 0 or not _irreducible(p.b):
@@ -208,10 +208,10 @@ def finite_stationary_law(p: ModelParams, cap: int = 100_000) -> StationaryTypeL
         counts = tuple((N - k, k) for k in range(N + 1))
         return StationaryTypeLaw(N=N, d=2, counts=counts, weights=w, log_weights=log_w)
 
-    counts = tuple(_compositions(N, d))
-    n_states = len(counts)
-    if n_states > cap or 8 * n_states**2 > DENSE_SOLVE_BYTES:
+    n_states = math.comb(N + d - 1, d - 1)
+    if n_states > COUNT_STATE_CAP or 8 * n_states**2 > DENSE_SOLVE_BYTES:
         raise BudgetError("exact solve infeasible")
+    counts = tuple(_compositions(N, d))
     index = {c: i for i, c in enumerate(counts)}
     Q = np.zeros((n_states, n_states))
     for i, c in enumerate(counts):

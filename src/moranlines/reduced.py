@@ -23,10 +23,9 @@ import numpy as np
 from scipy import sparse
 from scipy.integrate import solve_ivp
 
-from .model import (BudgetError, MixedMomentTable, ModelParams, ParamError,
-                    StationaryTypeLaw, finite_stationary_law, pn_probability,
-                    stationary_vector, two_type_mutation_rates,
-                    validate_params, wf_single_moment)
+from .model import (BudgetError, ModelParams, ParamError, StationaryTypeLaw,
+                    finite_stationary_law, pn_probability, stationary_vector,
+                    two_type_mutation_rates, validate_params, wf_single_moment)
 from .backward import canonical_start
 from .exact import (GeneratorMatrix, _assemble, build_bp_generator, compute_h,
                     expm_apply)
@@ -56,6 +55,15 @@ Y_STATES = ("00", "11", "01")  # pair classes: both 0, both 1, mixed
 ABSORBED = "absorbed"
 _Y_ONES = {"00": 0, "11": 2, "01": 1}
 
+# limit chains double their truncation up to a cap, until the boundary
+# mass (ancestor type) or every requested survival value (pair) settles
+CAT_N_CAP = 4096
+CAT_TAIL_TOL = 1e-10
+DIST_N_CAP = 2048
+DIST_CONV_TOL = 1e-9
+ODE_RTOL = 3e-12  # Radau tolerances of the survival solve
+ODE_ATOL = 1e-14
+
 
 @dataclass(frozen=True)
 class _ChainSpec:
@@ -63,7 +71,7 @@ class _ChainSpec:
 
     mode "finite" reads sampling probabilities from a stationary law at
     population size N; mode "limit" reads diffusion moments, computed
-    lazily per order unless a table is supplied.
+    lazily per order.
     """
 
     _min_N: ClassVar[int] = 1
@@ -71,7 +79,6 @@ class _ChainSpec:
     p: ModelParams
     mode: str
     law: StationaryTypeLaw | None = None
-    moments: MixedMomentTable | None = None
 
     @classmethod
     def finite_n(cls, p: ModelParams, law=None, **flags):
@@ -84,16 +91,14 @@ class _ChainSpec:
         return cls(p=p, mode="finite", law=law, **flags)
 
     @classmethod
-    def limit(cls, p: ModelParams, moments=None, **flags):
+    def limit(cls, p: ModelParams, **flags):
         validate_params(p)
         two_type_mutation_rates(p)
-        return cls(p=p, mode="limit", moments=moments, **flags)
+        return cls(p=p, mode="limit", **flags)
 
     def prob(self, ones: int, zeros: int) -> float:
         if self.mode == "finite":
             return pn_probability(self.law, ones, zeros)
-        if self.moments is not None and ones + zeros <= self.moments.maxOrder:
-            return self.moments.moment(ones, zeros)
         return wf_single_moment(self.p, ones, zeros)
 
 
@@ -242,12 +247,12 @@ class CatEquilibrium:
     n_top: int = 0
 
 
-def cat_equilibrium(spec: CatChainSpec, n_max: int = 32,
-                    cap: int = 4096, tail_tol: float = 1e-10) -> CatEquilibrium:
+def cat_equilibrium(spec: CatChainSpec, n_max: int = 32) -> CatEquilibrium:
     """Stationary law of the ancestor-type chain and its mark marginal.
 
     Limit mode truncates at n_max and doubles until the mass at the
-    truncation boundary drops below tail_tol.
+    truncation boundary drops below CAT_TAIL_TOL, failing with a budget
+    error past CAT_N_CAP.
     """
     if spec.mode == "finite":
         gen = cat_generator(spec)
@@ -259,10 +264,10 @@ def cat_equilibrium(spec: CatChainSpec, n_max: int = 32,
             gen = cat_generator(spec, n_top=n_top)
             pi = stationary_vector(gen.Q.toarray())
             tail = sum(pi[gen.index[(u, n_top)]] for u in (0, 1))
-            if tail < tail_tol:
+            if tail < CAT_TAIL_TOL:
                 break
             n_top *= 2
-            if n_top > cap:
+            if n_top > CAT_N_CAP:
                 raise BudgetError("tail bound unmet at nMax cap")
     m0 = float(sum(pi[k] for k, s in enumerate(gen.states) if s[0] == 0))
     m1 = float(sum(pi[k] for k, s in enumerate(gen.states) if s[0] == 1))
@@ -275,7 +280,7 @@ def cat_equilibrium(spec: CatChainSpec, n_max: int = 32,
 def _transformed_generator(p: ModelParams, starts, law) -> GeneratorMatrix:
     """Conservative h-reweighted backward generator on the set reachable
     from starts."""
-    gen = build_bp_generator(p, starts, with_fk=True)
+    gen = build_bp_generator(p, starts)
     h = compute_h(p, gen, law=law)
     scaled = sparse.diags(1.0 / h) @ gen.Q @ sparse.diags(h)
     scaled = scaled.tolil()
@@ -432,8 +437,7 @@ class SurvivalTable:
             raise ParamError("survival value outside table") from None
 
 
-def _survive_solve(spec: DistChainSpec, ts, n_top: int,
-                   rtol: float = 3e-12, atol: float = 1e-14) -> tuple:
+def _survive_solve(spec: DistChainSpec, ts, n_top: int) -> tuple:
     gen = dist_generator(spec, n_top=n_top, with_absorbed=False)
     Q = gen.Q
     y0 = np.ones(gen.n)
@@ -447,7 +451,7 @@ def _survive_solve(spec: DistChainSpec, ts, n_top: int,
         return Q @ f
 
     sol = solve_ivp(rhs, (0.0, t_max), y0, method="Radau", t_eval=t_eval,
-                    jac=Q, rtol=rtol, atol=atol)
+                    jac=Q, rtol=ODE_RTOL, atol=ODE_ATOL)
     if not sol.success:
         raise ArithmeticError(f"stiff solve failed: {sol.message}")
     sol_vals = {0.0: y0}
@@ -456,13 +460,13 @@ def _survive_solve(spec: DistChainSpec, ts, n_top: int,
     return gen, sol_vals
 
 
-def dist_survival(spec: DistChainSpec, ts, ns, n_max: int = 64,
-                  cap: int = 2048, conv_tol: float = 1e-9) -> SurvivalTable:
+def dist_survival(spec: DistChainSpec, ts, ns,
+                  n_max: int = 64) -> SurvivalTable:
     """Survival table by stiff integration of the truncated ODE system.
 
     The truncation reflects the top level (the up-rate out of n_top is
     dropped); n_max doubles until all requested values move by less than
-    conv_tol, failing with a budget error at the cap.
+    DIST_CONV_TOL, failing with a budget error past DIST_N_CAP.
     """
     ts = tuple(float(t) for t in ts)
     ns = tuple(int(n) for n in ns)
@@ -480,7 +484,7 @@ def dist_survival(spec: DistChainSpec, ts, ns, n_max: int = 64,
     n_top = n_max
     gen, sol = _survive_solve(spec, ts, n_top)
     while True:
-        if 2 * n_top > cap:
+        if 2 * n_top > DIST_N_CAP:
             raise BudgetError("truncation unconverged at nMax cap; "
                               "increase nMax")
         gen2, sol2 = _survive_solve(spec, ts, 2 * n_top)
@@ -492,7 +496,7 @@ def dist_survival(spec: DistChainSpec, ts, ns, n_max: int = 64,
                     b = sol2[t][gen2.index[(y, n)]]
                     worst = max(worst, abs(a - b))
         gen, sol, n_top = gen2, sol2, 2 * n_top
-        if worst < conv_tol:
+        if worst < DIST_CONV_TOL:
             break
     return _survival_table(spec, gen, sol, ts, ns, n_top)
 

@@ -27,8 +27,9 @@ from .model import (DENSE_SOLVE_BYTES, BudgetError, ModelParams, ParamError,
                     validate_params)
 from .backward import (BpPath, BpState, BpTransition, LinePath, _jump_path,
                        canonical_start, enumerate_transitions, reverse_to_lines)
-from .exact import (GeneratorMatrix, build_bp_generator, build_type_generator,
-                    compute_h, config_law_vector, expm_apply, h_star_vector)
+from .exact import (GeneratorMatrix, _project, _type_configs,
+                    build_bp_generator, build_type_generator, compute_h,
+                    config_law_vector, expm_apply)
 from .forward import LineageForest, init_forest, run_until
 
 __all__ = [
@@ -47,12 +48,14 @@ __all__ = [
     "sample_config",
 ]
 
+HT_STEP = 1e-3  # largest grid step of the horizon tables
+
 
 class HTTable:
     """Grid table of the time-indexed indicator averages.
 
     Stores the forward type law on a uniform backward-time grid over
-    [0, T] (step at most `step`; endpoints exact) and serves linearly
+    [0, T] (step at most HT_STEP; endpoints exact) and serves linearly
     interpolated values per backward state.  Interpolation error is
     O(step^2) in t and is documented as part of the sampler's budget;
     exact single-time values should use the direct computation instead.
@@ -60,16 +63,14 @@ class HTTable:
     it is refused before the type chain is built or stepped.
     """
 
-    def __init__(self, p: ModelParams, mu, T: float, step: float = 1e-3,
-                 type_gen: GeneratorMatrix | None = None):
+    def __init__(self, p: ModelParams, mu, T: float):
         validate_params(p)
         if not 0 < T < np.inf:
             raise ParamError("positive horizon required")
-        n = max(int(np.ceil(T / step)), 1)
+        n = max(int(np.ceil(T / HT_STEP)), 1)
         if 8 * (n + 1) * p.d ** p.N > DENSE_SOLVE_BYTES:
             raise BudgetError("exact solve infeasible")
-        if type_gen is None:
-            type_gen = build_type_generator(p)
+        type_gen = build_type_generator(p)
         self.p = p
         self.T = float(T)
         self.grid = np.linspace(0.0, T, n + 1)
@@ -89,8 +90,7 @@ class HTTable:
         """Indicator average of `state` at every grid time."""
         ser = self._proj.get(state)
         if ser is None:
-            mask = h_star_vector(state, self.configs_arr, self.p.d)
-            ser = self.rho @ mask.astype(float)
+            ser = _project(self.rho, state, self.configs_arr, self.p.d)
             self._proj[state] = ser
         return ser
 
@@ -112,7 +112,6 @@ class HTransformedKernel:
     gen: GeneratorMatrix | None = None
     h: np.ndarray | None = None
     ht: HTTable | None = None
-    T: float | None = None
 
     def h_value(self, state: BpState, t: float | None = None) -> float:
         if self.mode == "homogeneous":
@@ -127,15 +126,13 @@ class HTransformedKernel:
 
 def make_homogeneous_kernel(p: ModelParams, start: BpState,
                             law=None) -> HTransformedKernel:
-    gen = build_bp_generator(p, start, with_fk=True)
+    gen = build_bp_generator(p, start)
     h = compute_h(p, gen, law=law)
     return HTransformedKernel(p=p, mode="homogeneous", gen=gen, h=h)
 
 
-def make_inhomogeneous_kernel(p: ModelParams, mu, T: float,
-                              step: float = 1e-3) -> HTransformedKernel:
-    ht = HTTable(p, mu, T, step=step)
-    return HTransformedKernel(p=p, mode="inhomogeneous", ht=ht, T=float(T))
+def make_inhomogeneous_kernel(p: ModelParams, mu, T: float) -> HTransformedKernel:
+    return HTransformedKernel(p=p, mode="inhomogeneous", ht=HTTable(p, mu, T))
 
 
 def transformed_rates(kernel: HTransformedKernel, state: BpState,
@@ -304,7 +301,7 @@ def sample_config(p: ModelParams, mu, rng) -> tuple:
         arr = np.asarray(mu, dtype=float)
         if arr.shape == (p.d,):
             return tuple(int(u) for u in rng.choice(p.d, size=p.N, p=arr))
-    configs = tuple(itertools.product(range(p.d), repeat=p.N))
+    configs = _type_configs(p)
     vec = config_law_vector(p, mu, configs)
     k = int(rng.choice(len(configs), p=vec))
     return configs[k]

@@ -206,8 +206,7 @@ def test_criterion_09_harmonic_h():
             p = mk(N, B=1.0, b=((0.7, 0.3), (0.2, 0.8)), S=S)
             tag_all = {i: i % 2 for i in range(N)}
             for xi in (tag_all, {1: 0}):
-                gen = build_bp_generator(p, canonical_start(p, xi),
-                                         with_fk=True)
+                gen = build_bp_generator(p, canonical_start(p, xi))
                 h = compute_h(p, gen, verify=False)
                 worst = max(worst, harmonic_residual(gen, h))
     assert worst <= 1e-8

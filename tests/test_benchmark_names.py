@@ -4,9 +4,12 @@ perfbench/tracer.py lists them in TRACED and also rebinds exact.poisson
 and reduced.solve_ivp; a rename or deletion in the package would make a
 traced run fail or silently report zeros, so every name is checked here.
 The file is read with ast, so the benchmark itself is never imported.
+Some of its hooks also read arguments by position, so those positions
+are pinned here: a shifted parameter would silently zero a counter.
 """
 import ast
 import importlib
+import inspect
 import pathlib
 
 TRACER = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
@@ -30,3 +33,17 @@ def test_traced_names_resolve_in_package():
                if not hasattr(importlib.import_module(f"moranlines.{mod}"),
                               name)]
     assert missing == []
+
+
+def test_tracer_argument_positions():
+    # (module, function) -> {position: name} read by the tracer's hooks
+    read = {
+        ("transformed", "sample_transformed_path"): {2: "rng", 4: "cache"},
+        ("forward", "run_until"): {3: "rng"},
+        ("exact", "expm_apply"): {0: "gen"},
+    }
+    for (mod, name), positions in read.items():
+        fn = getattr(importlib.import_module(f"moranlines.{mod}"), name)
+        params = list(inspect.signature(fn).parameters)
+        for k, want in positions.items():
+            assert params[k] == want, f"{mod}.{name} argument {k}"

@@ -14,7 +14,8 @@ from moranlines import (BudgetError, ParamError, build_bp_generator,
                         duality_reports, enumerate_transitions, expm_apply,
                         feynman_kac_V, finite_stationary_law, h_star,
                         harmonic_residual, make_state, permute_bp_state,
-                        permute_type_config)
+                        permute_type_config, sample_config)
+import moranlines.exact as exact
 from moranlines.exact import GeneratorMatrix, h_star_vector
 import scipy.sparse as sparse
 
@@ -73,9 +74,8 @@ def test_type_generator_hand_entries():
 def test_bp_generator_singleton_neutral_hand_matrix():
     p = mk(3, B=1.3, b=((0.6, 0.4), (0.25, 0.75)))
     start = canonical_start(p, {1: 0})
-    gen = build_bp_generator(p, start, with_fk=False)
+    gen = build_bp_generator(p, start)
     assert gen.n == 6
-    assert gen.fk_diagonal is None
 
     def st(u, site):
         return make_state((1,), ((u, site),), [FULL2] * 3, 2)
@@ -96,7 +96,7 @@ def test_bp_generator_singleton_neutral_hand_matrix():
 def test_bp_generator_matches_enumeration_under_selection():
     p = mk(2, S=1.0, b=((0.7, 0.3), (0.4, 0.6)))
     start = canonical_start(p, {0: 0, 1: 1})
-    gen = build_bp_generator(p, start, with_fk=True)
+    gen = build_bp_generator(p, start)
     assert gen.n == 12
     merged = [s for s in gen.states if len(set(s.marks)) == 1]
     assert len(merged) == 8  # 2 values x 2 sites x 2 reachable subsets
@@ -118,12 +118,27 @@ def test_bp_generator_matches_enumeration_under_selection():
     assert np.max(np.abs(row_sums)) <= 1e-12
 
 
-def test_generator_budget_cap():
+def test_generator_budget_cap(monkeypatch):
     with pytest.raises(BudgetError, match="exact solve infeasible"):
         build_type_generator(mk(12, d=3))
     p = mk(3, S=1.0)
+    monkeypatch.setattr(exact, "STATE_CAP", 3)
     with pytest.raises(BudgetError, match="exact solve infeasible"):
-        build_bp_generator(p, canonical_start(p, {0: 0, 1: 1}), cap=3)
+        build_bp_generator(p, canonical_start(p, {0: 0, 1: 1}))
+
+
+def test_every_configuration_enumeration_is_capped():
+    # 3^12 = 531,441 configurations: over the state cap, so the refusal
+    # must come before any configuration is listed
+    p = mk(12, d=3)
+    s = canonical_start(p, {0: 0})
+    stand_in = GeneratorMatrix(states=(s,), index={s: 0},
+                               Q=sparse.csr_matrix((1, 1)),
+                               fk_diagonal=np.zeros(1))
+    with pytest.raises(BudgetError, match="exact solve infeasible"):
+        compute_h(p, stand_in)
+    with pytest.raises(BudgetError, match="exact solve infeasible"):
+        sample_config(p, {(0,) * 12: 1.0}, philox(5, 0))
 
 
 # ------------------------------------------------------------------ semigroup
@@ -272,7 +287,7 @@ def test_duality_mini_fuzz():
                 assert check_duality(p, start, mu, t).gap <= 1e-9
 
 
-def test_duality_reports_plumbing_and_cached_generators():
+def test_duality_reports_plumbing():
     p = mk(2, S=1.0, b=((0.7, 0.3), (0.4, 0.6)))
     starts = [canonical_start(p, {0: 0, 1: 1}), canonical_start(p, {0: 1})]
     times = (0.3, 0.8)
@@ -284,12 +299,6 @@ def test_duality_reports_plumbing_and_cached_generators():
         assert abs(single.lhs - r.lhs) <= 1e-12
         assert abs(single.rhs - r.rhs) <= 1e-12
         assert r.gap <= 1e-9
-    type_gen = build_type_generator(p)
-    bp_gen = build_bp_generator(p, starts[0])
-    cached = check_duality(p, starts[0], (0.4, 0.6), 0.3,
-                           type_gen=type_gen, bp_gen=bp_gen)
-    assert abs(cached.lhs - reps[0].lhs) <= 1e-14
-    assert abs(cached.rhs - reps[0].rhs) <= 1e-14
 
 
 def test_duality_reports_union_matches_per_start():
@@ -304,12 +313,9 @@ def test_duality_reports_union_matches_per_start():
     reps = duality_reports(p, mu, starts, times)
     assert [(r.start, r.t) for r in reps] == [
         (s, t) for s in starts for t in times]
-    type_gen = build_type_generator(p)
     for k, start in enumerate(starts):
-        bp_gen = build_bp_generator(p, start)
         for m, t in enumerate(times):
-            single = check_duality(p, start, mu, t, type_gen=type_gen,
-                                   bp_gen=bp_gen)
+            single = check_duality(p, start, mu, t)
             r = reps[k * len(times) + m]
             assert abs(single.lhs - r.lhs) <= 1e-12
             assert abs(single.rhs - r.rhs) <= 1e-12
@@ -419,7 +425,7 @@ def test_equilibrium_weight_errors():
     gen = build_bp_generator(p, start)
     with pytest.raises(ParamError, match="positivity assumption violated"):
         compute_h(p, gen, law={(0, 0, 0): 1.0})
-    bare = build_bp_generator(p, start, with_fk=False)
+    bare = GeneratorMatrix(states=gen.states, index=gen.index, Q=gen.Q)
     with pytest.raises(ParamError, match="weighted backward generator"):
         compute_h(p, bare)
     with pytest.raises(ParamError, match="weighted backward generator"):
@@ -458,7 +464,7 @@ def test_horizon_weights_match_dense_oracle():
     rho = scipy.linalg.expm(0.7 * type_gen.Q.T.toarray()) @ mu_vec
     arr = np.array(type_gen.states)
     want = np.array([h_star_vector(s, arr, 2) @ rho for s in gen.states])
-    table = compute_hT(p, gen, (0.5, 0.5), 1.0, (0.3,), type_gen=type_gen)
+    table = compute_hT(p, gen, (0.5, 0.5), 1.0, (0.3,))
     assert np.max(np.abs(table[0] - want)) <= 1e-10
 
 
@@ -472,3 +478,38 @@ def test_horizon_weight_errors():
     # a point mass at the horizon zeroes every incompatible state's weight
     with pytest.raises(ParamError, match="h positivity violated"):
         compute_hT(p, gen, {(0, 1): 1.0}, 1.0, (1.0,))
+
+
+class _NoStateByConfigArrays:
+    """Stands in for numpy inside the exact engine and fails on any array
+    it returns with one row per backward state and one column per type
+    configuration."""
+
+    def __init__(self, shape):
+        self.shape = shape
+
+    def __getattr__(self, name):
+        attr = getattr(np, name)
+        if isinstance(attr, type) or not callable(attr):
+            return attr
+
+        def guarded(*args, **kwargs):
+            out = attr(*args, **kwargs)
+            assert np.shape(out) != self.shape, \
+                f"np.{name} built a (states x configurations) array"
+            return out
+        return guarded
+
+
+def test_projections_build_no_state_by_configuration_array(monkeypatch):
+    p = mk(3, d=3, S=1.0, b=((0.5, 0.3, 0.2), (0.1, 0.6, 0.3),
+                             (0.25, 0.25, 0.5)), chi=(0.0, 0.4, 1.0))
+    starts = [canonical_start(p, {0: 0, 1: 2}), canonical_start(p, {0: 1})]
+    gen = build_bp_generator(p, starts)
+    mu = (0.2, 0.3, 0.5)
+    monkeypatch.setattr(exact, "np",
+                        _NoStateByConfigArrays((gen.n, p.d ** p.N)))
+    assert all(r.gap <= 1e-9
+               for r in duality_reports(p, mu, starts, (0.5, 1.0)))
+    assert compute_hT(p, gen, mu, 1.0, (0.0, 0.5)).shape == (2, gen.n)
+    assert compute_h(p, gen).shape == (gen.n,)

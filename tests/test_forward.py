@@ -9,6 +9,7 @@ from moranlines import (ParamError, cat_fixation_type, genealogical_distance,
                         init_forest, neutral_pair_distance_samples, path_value,
                         run_until, simulate_types, step_forest)
 from moranlines import cli
+import moranlines.forward as forward
 
 from helpers import mk, philox, three_se
 
@@ -142,8 +143,16 @@ def test_path_value_reconstructs_mutation_history():
     p = mk(1, B=5.0, b=((0.0, 1.0), (1.0, 0.0)))
     rng = philox(13, 0)
     f = init_forest(p, 0.0, (0,))
-    run_until(f, p, 2.0, rng)
-    events = sorted(f.mutation_events)
+    trace = []
+    run_until(f, p, 2.0, rng, trace=trace)
+    # (time, site, old type, new type) of every mutation that changed a
+    # type; N = 1, so resampling is always a self-copy
+    types = [0]
+    events = []
+    for e in trace:
+        if e.kind == "mutation" and e.dst != types[e.src]:
+            events.append((e.time, e.src, types[e.src], e.dst))
+            types[e.src] = e.dst
     assert events, "flip kernel at B=5 should mutate"
     for s in np.linspace(0.0, 2.0, 41):
         u = 0
@@ -158,7 +167,7 @@ def test_path_value_reconstructs_mutation_history():
         path_value(f, 0, 2.5)
 
 
-def test_cat_fixation_degenerate_cases():
+def test_cat_fixation_degenerate_cases(monkeypatch):
     rng = philox(14, 0)
     p1 = mk(1, B=0.0)
     assert cat_fixation_type(p1, 0.0, (1,), 0.0, rng) == 1
@@ -167,8 +176,8 @@ def test_cat_fixation_degenerate_cases():
         assert cat_fixation_type(p3, 0.0, (u, u, u), 0.5, rng) == u
     with pytest.raises(ParamError, match="evaluation time before start"):
         cat_fixation_type(p3, 0.0, (0, 0, 0), -1.0, rng)
-    assert cat_fixation_type(p3, 0.0, (0, 1, 0), 5.0, rng,
-                             horizon_cap=1e-9) == "pending"
+    monkeypatch.setattr(forward, "FIXATION_HORIZON_PER_SITE", 1e-9 / 3)
+    assert cat_fixation_type(p3, 0.0, (0, 1, 0), 5.0, rng) == "pending"
 
 
 def test_cat_fixation_neutral_probability():

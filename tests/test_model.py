@@ -133,10 +133,23 @@ def test_law_requires_irreducible_mutation():
         finite_stationary_law(ident)
 
 
-def test_law_budget_refusal():
+def test_law_budget_refusal(monkeypatch):
     p = mk(40, d=5, chi=(0.0, 0.2, 0.5, 0.8, 1.0))
+    monkeypatch.setattr(model, "COUNT_STATE_CAP", 1000)
     with pytest.raises(BudgetError, match="exact solve infeasible"):
-        finite_stationary_law(p, cap=1000)
+        finite_stationary_law(p)
+
+
+def test_law_budget_refused_before_listing(monkeypatch):
+    # d = 5, N = 400: about 1.1e9 count vectors, which would exhaust memory
+    # if listed, so the refusal must come before the first is generated
+    def no_listing(total, parts):
+        raise AssertionError("count vectors listed before the budget check")
+        yield
+
+    monkeypatch.setattr(model, "_compositions", no_listing)
+    with pytest.raises(BudgetError, match="exact solve infeasible"):
+        finite_stationary_law(mk(400, d=5, chi=(0.0, 0.2, 0.5, 0.8, 1.0)))
 
 
 def test_law_dense_byte_budget(monkeypatch):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 import sympy as sp
 
+import moranlines.reduced as reduced
 from moranlines import (BudgetError, ParamError, wf_mixed_moments,
                         wf_single_moment)
 from moranlines.reduced import (ABSORBED, CatChainSpec, DistChainSpec,
@@ -376,17 +377,21 @@ def test_moment_ratio_ordering_under_selection():
         assert r0 > r1
 
 
-def test_reduced_interface_errors():
+def test_reduced_interface_errors(monkeypatch):
     p = mk(4, b=PI, S=2.0)
     spec = DistChainSpec.limit(p)
     with pytest.raises(ParamError, match="nonnegative time required"):
         dist_survival(spec, (0.5, -0.1), (0,))
     with pytest.raises(ParamError, match="pinned count outside finite chain"):
         dist_survival(DistChainSpec.finite_n(p), (0.5,), (3,))
+    monkeypatch.setattr(reduced, "DIST_N_CAP", 4)
+    monkeypatch.setattr(reduced, "DIST_CONV_TOL", 1e-12)
     with pytest.raises(BudgetError, match="increase nMax"):
-        dist_survival(spec, (1.0,), (0,), n_max=2, cap=4, conv_tol=1e-12)
+        dist_survival(spec, (1.0,), (0,), n_max=2)
+    monkeypatch.setattr(reduced, "CAT_N_CAP", 8)
+    monkeypatch.setattr(reduced, "CAT_TAIL_TOL", 1e-30)
     with pytest.raises(BudgetError, match="tail bound unmet"):
-        cat_equilibrium(CatChainSpec.limit(p), n_max=4, cap=8, tail_tol=1e-30)
+        cat_equilibrium(CatChainSpec.limit(p), n_max=4)
     with pytest.raises(ParamError, match="limit mode needs an explicit"):
         cat_generator(CatChainSpec.limit(p))
     with pytest.raises(ParamError, match="population of at least two"):
@@ -397,11 +402,9 @@ def test_reduced_interface_errors():
         CatChainSpec.finite_n(mk(3, b=((0.7, 0.3), (0.4, 0.6))))
 
 
-def test_limit_spec_accepts_moment_table():
+def test_moment_table_matches_single_moments():
     p = mk(4, b=PI, S=1.0)
     table = wf_mixed_moments(p, 6)
-    with_table = DistChainSpec.limit(p, moments=table)
-    plain = DistChainSpec.limit(p)
     for (ones, zeros) in ((0, 2), (1, 1), (2, 0), (0, 3), (1, 2)):
-        assert with_table.prob(ones, zeros) == pytest.approx(
-            plain.prob(ones, zeros), rel=1e-10)
+        assert table.moment(ones, zeros) == pytest.approx(
+            wf_single_moment(p, ones, zeros), rel=1e-10)

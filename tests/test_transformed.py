@@ -31,7 +31,7 @@ FULL2 = (0, 1)
 def test_constant_weights_reproduce_base_rates():
     p = mk(3, S=1.0, b=((0.7, 0.3), (0.2, 0.8)))
     start = canonical_start(p, {0: 0, 1: 1})
-    gen = build_bp_generator(p, start, with_fk=True)
+    gen = build_bp_generator(p, start)
     kernel = HTransformedKernel(p=p, mode="homogeneous", gen=gen,
                                 h=np.ones(gen.n))
     for state in gen.states[:6]:
@@ -221,7 +221,7 @@ def test_conditioned_marginal_chi_square():
     p = mk(2, B=0.8, b=((0.7, 0.3), (0.2, 0.8)))
     nu, T, s = (0.6, 0.4), 1.0, 0.5
     start = canonical_start(p, {0: 0, 1: 0})
-    gen = build_bp_generator(p, start, with_fk=True)
+    gen = build_bp_generator(p, start)
     from moranlines.exact import compute_hT, expm_apply
     e_start = np.zeros(gen.n)
     e_start[gen.index[start]] = 1.0
