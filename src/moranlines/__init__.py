@@ -15,7 +15,8 @@ from .model import (BudgetError, MixedMomentTable, ModelParams, ParamError,
                     wf_mixed_moments, wf_single_moment)
 from .forward import (ForestNode, HmmEvent, LineageForest, cat_fixation_type,
                       genealogical_distance, init_forest,
-                      neutral_pair_distance_samples, path_value, run_until,
+                      neutral_pair_distance_samples, pair_block_count,
+                      pair_distance_samples, path_value, run_until,
                       simulate_types, step_forest)
 from .backward import (BpPath, BpState, BpTransition, LinePath,
                        TRANSITION_KINDS, canonical_start,
@@ -52,8 +53,9 @@ __all__ = [
     # forward
     "ForestNode", "HmmEvent", "LineageForest", "cat_fixation_type",
     "genealogical_distance",
-    "init_forest", "neutral_pair_distance_samples", "path_value", "run_until",
-    "simulate_types", "step_forest",
+    "init_forest", "neutral_pair_distance_samples", "pair_block_count",
+    "pair_distance_samples", "path_value", "run_until", "simulate_types",
+    "step_forest",
     # backward
     "BpPath", "BpState", "BpTransition", "LinePath", "TRANSITION_KINDS",
     "canonical_start", "enumerate_transitions", "feynman_kac_V", "make_state",

@@ -7,8 +7,8 @@ plotdata.csv, then finalizes a manifest.csv (config hash, package
 version, wall time, per-output checksums) atomically so a complete
 manifest implies complete outputs.  Output bodies are deterministic for
 a fixed config: reruns are byte-identical, replicate randomness comes
-from counter-based streams keyed (seed, replicate index), and worker
-count never changes results.
+from counter-based streams keyed (seed, replicate or block index), and
+worker count never changes results.
 
 Exit codes: 0 success, 2 validation failure, 3 exceeded numerical or
 state budget, 4 numerical failure (a solver failed or a computed
@@ -37,7 +37,8 @@ from .model import (BudgetError, ModelParams, ParamError, validate_params,
 from .backward import canonical_start
 from .exact import duality_reports
 from .forward import (genealogical_distance, init_forest,
-                      neutral_pair_distance_samples, run_until)
+                      neutral_pair_distance_samples, pair_block_count,
+                      pair_distance_samples, run_until)
 from .transformed import (first_coalescence_time, make_inhomogeneous_kernel,
                           sample_transformed_path)
 from .reduced import (CatChainSpec, DistChainSpec, Y_STATES, cat_equilibrium,
@@ -258,31 +259,20 @@ def _write_survival(out: str, name: str, series: str, times, survives):
                   [(series, t, est) for t, est, _se in rows])
 
 
-def _fan_out(chunk_fn, args: tuple, reps: int, workers: int) -> np.ndarray:
-    """chunk_fn(*args, rep_indices) over replicates 0..reps-1, split by
-    stride across worker processes; results come back in replicate order,
-    and since each replicate seeds its own stream, whatever the worker
-    count."""
-    if workers == 1:
-        return np.array(chunk_fn(*args, range(reps)))
-    out = np.empty(reps)
+def _fan_out(chunk_fn, args: tuple, units: int, workers: int) -> np.ndarray:
+    """chunk_fn(*args, unit_indices) over units 0..units-1, split into
+    contiguous runs across at most `workers` processes.  A unit is a
+    replicate or a block of replicates that seeds its own stream, and the
+    runs come back in unit order, so the worker count never changes the
+    result."""
+    workers = min(workers, units)
+    if workers <= 1:
+        return np.array(chunk_fn(*args, range(units)), dtype=float)
+    bounds = [units * k // workers for k in range(workers + 1)]
     with ProcessPoolExecutor(max_workers=workers) as ex:
         parts = ex.map(functools.partial(chunk_fn, *args),
-                       [range(k, reps, workers) for k in range(workers)])
-        for k, part in enumerate(parts):
-            out[k::workers] = part
-    return out
-
-
-def _distance_chunk(p, T, seed, reps) -> list:
-    out = []
-    for rep in reps:
-        rng = np.random.Generator(np.random.Philox(key=(seed, rep)))
-        types = [int(u) for u in rng.integers(0, p.d, size=p.N)]
-        forest = init_forest(p, 0.0, types)
-        run_until(forest, p, T, rng)
-        out.append(genealogical_distance(forest, 0, 1))
-    return out
+                       [range(a, b) for a, b in zip(bounds, bounds[1:])])
+        return np.concatenate([np.array(part, dtype=float) for part in parts])
 
 
 def _exp_forward_distance(cfg: ExperimentConfig, out: str) -> list:
@@ -296,12 +286,16 @@ def _exp_forward_distance(cfg: ExperimentConfig, out: str) -> list:
     if p.S == 0.0:
         dists = neutral_pair_distance_samples(p.N, T, reps, cfg.seed)
     else:
-        dists = _fan_out(_distance_chunk, (p, T, cfg.seed), reps, cfg.workers)
+        # counting the blocks refuses a population too large for the
+        # dense budget before any worker starts
+        dists = _fan_out(pair_distance_samples, (p, T, reps, cfg.seed, (0, 1)),
+                         pair_block_count(p.N, reps), cfg.workers)
 
     _write_survival(out, "distance_survival.csv", "distance-survival",
                     times, lambda t: dists > 2.0 * t)
 
-    # one replicate's full event trace and distance matrix, for inspection
+    # one forest run's full event trace and distance matrix, for
+    # inspection; its stream is keyed (seed, 0), like the first block's
     rng = np.random.Generator(np.random.Philox(key=(cfg.seed, 0)))
     types = [int(u) for u in rng.integers(0, p.d, size=p.N)]
     forest = init_forest(p, 0.0, types)

@@ -11,9 +11,14 @@ The pairwise genealogical distance is twice the elapsed time since the
 two lines last agreed; lines agree exactly while they traverse the same
 node, which reduces the distance to a walk up the two parent chains.
 
-`_step_at` is the single place that draws and applies an event; the
-forest runners, the common-ancestor tracer and the type-only simulator
-all advance through it, so they share one event law and one draw order.
+`_step_at` is the single place that draws and applies an event to a
+forest; the forest runners, the common-ancestor tracer and the type-only
+simulator all advance through it, so they share one event law and one
+draw order.  Two samplers read only one pair's distance and keep no
+forest: `neutral_pair_distance_samples` traces the pair's two lines
+backward (S = 0 only), and `pair_distance_samples` runs blocks of
+replicates forward under `_step_at`'s event law, carrying only the types
+and the times at which each two lines last agreed.
 """
 from __future__ import annotations
 
@@ -22,7 +27,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import ModelParams, ParamError, validate_params
+from .model import (DENSE_SOLVE_BYTES, BudgetError, ModelParams, ParamError,
+                    validate_params)
 
 __all__ = [
     "ForestNode",
@@ -36,9 +42,12 @@ __all__ = [
     "cat_fixation_type",
     "simulate_types",
     "neutral_pair_distance_samples",
+    "pair_block_count",
+    "pair_distance_samples",
 ]
 
 FIXATION_HORIZON_PER_SITE = 50.0  # cat_fixation_type's clock budget per site
+BLOCK_REPS = 1024  # replicates per block of pair_distance_samples, at most
 
 
 @dataclass
@@ -267,6 +276,47 @@ def simulate_types(p: ModelParams, types, T: float, rng) -> tuple:
     return tuple(run_until(init_forest(p, 0.0, types), p, T, rng).current_types)
 
 
+def _check_pair_args(N: int, T: float, reps: int, pair) -> float:
+    """Validate a pair-distance request; returns the horizon as a float."""
+    if N < 2:
+        raise ParamError("population of at least two required")
+    i0, j0 = pair
+    if i0 == j0 or not (0 <= i0 < N and 0 <= j0 < N):
+        raise ParamError("distinct sites inside the population required")
+    T = float(T)
+    if not (math.isfinite(T) and T >= 0.0):
+        raise ParamError("horizon must be finite and nonnegative")
+    if reps < 0:
+        raise ParamError("replicate count must be nonnegative")
+    return T
+
+
+def _trace_pair(N: int, T: float, reps: int, rng, pair) -> tuple:
+    """Trace one site pair's lines backward from T at S = 0.
+
+    Returns (tau, sites): tau is each replicate's merge time, 0 if the
+    lines are still apart when the clock passes 0; sites (reps x 2) holds
+    the sites the two lines occupy where the trace stops, which is the
+    merge site twice or the two time-0 sites.
+    """
+    tau = np.zeros(reps)
+    sites = np.tile(np.array(pair, dtype=np.int64), (reps, 1))
+    live = np.arange(reps)               # replicates whose lines are apart
+    now = np.full(reps, T)               # their backward clocks
+    while live.size:
+        n = live.size
+        now = now - rng.exponential(1.0 / N, size=n)
+        hit = rng.integers(0, 2, size=n)
+        src = rng.integers(0, N, size=n)
+        inside = now > 0.0
+        merged = inside & (src == sites[live, 1 - hit])
+        tau[live[merged]] = now[merged]
+        sites[live, hit] = np.where(inside, src, sites[live, hit])
+        keep = inside & ~merged
+        live, now = live[keep], now[keep]
+    return tau, sites
+
+
 def neutral_pair_distance_samples(N: int, T: float, reps: int, seed: int,
                                   pair=(0, 1)) -> np.ndarray:
     """Genealogical distances of one site pair at time T without selection.
@@ -286,31 +336,114 @@ def neutral_pair_distance_samples(N: int, T: float, reps: int, seed: int,
     traced together, one event each per round: memory is O(reps) and
     the rounds number about N min(T, merge time).
     """
-    if N < 2:
-        raise ParamError("population of at least two required")
-    i0, j0 = pair
-    if i0 == j0 or not (0 <= i0 < N and 0 <= j0 < N):
-        raise ParamError("distinct sites inside the population required")
-    T = float(T)
-    if not (math.isfinite(T) and T >= 0.0):
-        raise ParamError("horizon must be finite and nonnegative")
-    if reps < 0:
-        raise ParamError("replicate count must be nonnegative")
+    T = _check_pair_args(N, T, reps, pair)
     rng = np.random.Generator(np.random.Philox(key=seed))
-    tau = np.zeros(reps)
-    live = np.arange(reps)               # replicates whose lines are apart
-    now = np.full(reps, T)               # their backward clocks
-    lines = np.tile(np.array([i0, j0], dtype=np.int64), (reps, 1))
-    while live.size:
-        n = live.size
-        now = now - rng.exponential(1.0 / N, size=n)
-        hit = rng.integers(0, 2, size=n)
-        src = rng.integers(0, N, size=n)
-        rows = np.arange(n)
-        inside = now > 0.0
-        merged = inside & (src == lines[rows, 1 - hit])
-        tau[live[merged]] = now[merged]
-        lines[rows, hit] = src
-        keep = inside & ~merged
-        live, now, lines = live[keep], now[keep], lines[keep]
+    tau, _sites = _trace_pair(N, T, reps, rng, pair)
     return 2.0 * (T - tau)
+
+
+def _block_size(N: int) -> int:
+    """BLOCK_REPS, or fewer when a block's N x N agreement-time matrices
+    would exceed DENSE_SOLVE_BYTES; BudgetError when even one would."""
+    per_rep = 8 * N * N
+    if per_rep > DENSE_SOLVE_BYTES:
+        raise BudgetError(f"agreement times of {N} sites exceed the dense "
+                          f"budget of {DENSE_SOLVE_BYTES} bytes")
+    return min(BLOCK_REPS, DENSE_SOLVE_BYTES // per_rep)
+
+
+def pair_block_count(N: int, reps: int) -> int:
+    """Number of replicate blocks `pair_distance_samples` runs for reps
+    replicates at population N.  Raises BudgetError, allocating nothing,
+    when even one replicate's N x N agreement times exceed
+    DENSE_SOLVE_BYTES."""
+    return -(-reps // _block_size(N))
+
+
+def pair_distance_samples(p: ModelParams, T: float, reps: int, seed: int,
+                          pair=(0, 1), blocks=None) -> np.ndarray:
+    """Genealogical distances of one site pair at time T, any S.
+
+    Populations start from uniform random types at time 0 and run under
+    `_step_at`'s event law, but no forest is kept: the replicates of a
+    block advance together, and each carries its types and the matrix
+    A whose entry (i, j) is the last time the lines at sites i and j
+    agreed (0 if never).  The pair's distance is 2 (T - A[pair]).
+    Replicates run in blocks of BLOCK_REPS (fewer at large N, see
+    `pair_block_count`); block k draws from the stream keyed (seed, k).
+    `blocks`, if given, runs only those block indices and returns their
+    replicates in that order.
+    """
+    validate_params(p)
+    T = _check_pair_args(p.N, T, reps, pair)
+    size = _block_size(p.N)
+    if blocks is None:
+        blocks = range(pair_block_count(p.N, reps))
+    i0, j0 = pair
+    parts = []
+    for k in blocks:
+        rng = np.random.Generator(np.random.Philox(key=(seed, k)))
+        _types, A = _agreement_block(p, T, min(size, reps - k * size), rng)
+        parts.append(2.0 * (T - A[:, i0, j0]))
+    return np.concatenate(parts) if parts else np.zeros(0)
+
+
+def _agreement_block(p: ModelParams, T: float, reps: int, rng) -> tuple:
+    """One block of `pair_distance_samples`: the types (reps x N) and the
+    agreement times A (reps x N x N) at time T.
+
+    Every live replicate draws one event per round at the total rate
+    N B + N^2/2 and stops once its clock passes T.  A mutation draws its
+    site and type as `_step_at` does; a resampling pair is drawn by the
+    same thinning against 0.5 + S/2N, re-drawing only the rejected
+    replicates.  An effective copy src -> dst at time t gives dst the
+    type, row and column of src, and A[src, dst] = A[dst, src] = t; the
+    diagonal of A is never read.
+    """
+    N = p.N
+    rate_mut = N * p.B
+    total = rate_mut + N * N / 2.0
+    sel = p.S / (2.0 * N)
+    rate_max = 0.5 + sel
+    chi = np.asarray(p.chi)
+    cum = np.cumsum(np.asarray(p.b), axis=1)    # _draw_row's running sums
+    types = rng.integers(0, p.d, size=(reps, N))
+    A = np.zeros((reps, N, N))
+    live = np.arange(reps)
+    now = np.zeros(reps)
+    while True:
+        now = now + rng.exponential(1.0 / total, size=live.size)
+        inside = now < T
+        live, now = live[inside], now[inside]
+        if not live.size:
+            break
+        mut = rng.random(live.size) * total < rate_mut
+
+        r = live[mut]
+        site = rng.integers(0, N, size=r.size)
+        x = rng.random(r.size)
+        # the first type whose cumulative mass exceeds x, else the last
+        u = (x[:, None] >= cum[types[r, site]]).sum(axis=1)
+        types[r, site] = np.minimum(u, p.d - 1)
+
+        r, t = live[~mut], now[~mut]
+        src = np.empty(r.size, dtype=np.int64)
+        dst = np.empty(r.size, dtype=np.int64)
+        todo = np.arange(r.size)
+        while todo.size:
+            s = rng.integers(0, N, size=todo.size)
+            d = rng.integers(0, N, size=todo.size)
+            rr = r[todo]
+            rate = 0.5 + sel * (chi[types[rr, s]] - chi[types[rr, d]])
+            ok = rng.random(todo.size) * rate_max < rate
+            src[todo[ok]], dst[todo[ok]] = s[ok], d[ok]
+            todo = todo[~ok]
+
+        eff = src != dst
+        r, t, src, dst = r[eff], t[eff], src[eff], dst[eff]
+        A[r, dst] = A[r, src]
+        A[r, :, dst] = A[r, :, src]
+        A[r, src, dst] = t
+        A[r, dst, src] = t
+        types[r, dst] = types[r, src]
+    return types, A

@@ -14,6 +14,7 @@ import pytest
 from moranlines import ParamError, cli
 from moranlines.cli import (config_hash, emit_plotdata, load_config, main,
                             resolve_config)
+from moranlines.forward import BLOCK_REPS
 
 DUALITY_CFG = {
     "model": {"N": 3, "d": 2, "B": 0.8, "S": 1.0,
@@ -114,12 +115,20 @@ CONDITIONED_CFG = {
 }
 
 
+# three blocks of the agreement-time sampler at N = 3, so three workers
+# split them (the block count is checked in test_forward)
+BLOCKS_CFG = {**FORWARD_CFG, "replicates": 2 * BLOCK_REPS + 1}
+FORWARD_NAMES = ["distance_survival.csv", "trace.csv", "distances.csv",
+                 "plotdata.csv"]
+
+
 @pytest.mark.parametrize("experiment,payload,names", [
-    ("forward-distance", FORWARD_CFG,
-     ["distance_survival.csv", "trace.csv", "distances.csv", "plotdata.csv"]),
+    ("forward-distance", FORWARD_CFG, FORWARD_NAMES),
+    ("forward-distance", BLOCKS_CFG, FORWARD_NAMES),
     ("conditioned-distance", CONDITIONED_CFG,
      ["conditioned_survival.csv", "plotdata.csv"]),
-], ids=["forward-distance", "conditioned-distance"])
+], ids=["forward-distance", "forward-distance-blocks",
+        "conditioned-distance"])
 def test_worker_count_never_changes_results(tmp_path, experiment, payload,
                                             names):
     cfg = write_cfg(tmp_path / "cfg.json", payload)
@@ -244,6 +253,23 @@ def test_table_budget_exit_3(tmp_path, capsys):
     rc = main(["conditioned-distance", "--config", cfg, "--out", str(out)])
     assert rc == 3
     assert "exact solve infeasible" in capsys.readouterr().err
+    assert not (out / "manifest.csv").exists()
+
+
+def test_pair_distance_budget_exit_3(tmp_path, capsys, monkeypatch):
+    # at N = 6,000 one replicate's agreement times would take 288 MB; the
+    # run is refused before any worker process starts
+    def no_pool(*args, **kwargs):
+        raise AssertionError("worker pool started")
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", no_pool)
+    cfg = write_cfg(tmp_path / "cfg.json", {
+        **FORWARD_CFG, "model": {**FORWARD_CFG["model"], "N": 6000}})
+    out = tmp_path / "out"
+    rc = main(["forward-distance", "--config", cfg, "--out", str(out),
+               "--workers", "3"])
+    assert rc == 3
+    assert "dense budget" in capsys.readouterr().err
     assert not (out / "manifest.csv").exists()
 
 

@@ -5,10 +5,12 @@ import math
 import numpy as np
 import pytest
 
-from moranlines import (ParamError, cat_fixation_type, genealogical_distance,
-                        init_forest, neutral_pair_distance_samples, path_value,
-                        run_until, simulate_types, step_forest)
-from moranlines import cli
+from moranlines import (BudgetError, ParamError, cat_fixation_type,
+                        genealogical_distance, init_forest,
+                        neutral_pair_distance_samples, pair_block_count,
+                        pair_distance_samples, path_value, run_until,
+                        simulate_types, step_forest)
+from moranlines import model
 import moranlines.forward as forward
 
 from helpers import mk, philox, three_se
@@ -237,6 +239,14 @@ def test_neutral_distance_survival_function():
         assert abs(mean - math.exp(-t)) <= tol, (t, mean)
 
 
+def _assert_same_survival(slow, fast, times):
+    """P(D > 2t) of two distance samples agree within 3 combined SEs."""
+    for t in times:
+        ps, ss = np.mean(slow > 2 * t), np.std(slow > 2 * t, ddof=1) / math.sqrt(slow.size)
+        pf_, sf = np.mean(fast > 2 * t), np.std(fast > 2 * t, ddof=1) / math.sqrt(fast.size)
+        assert abs(ps - pf_) <= 3 * math.hypot(ss, sf), (t, ps, pf_)
+
+
 def _check_fast_sampler_against_forest(pair, slow_key, fast_seed):
     p = mk(3, B=0.0)
     rng = philox(*slow_key)
@@ -248,10 +258,7 @@ def _check_fast_sampler_against_forest(pair, slow_key, fast_seed):
         slow[r] = genealogical_distance(f, *pair)
     fast = neutral_pair_distance_samples(3, T, 200_000, seed=fast_seed,
                                          pair=pair)
-    for t in (0.3, 0.9):
-        ps, ss = np.mean(slow > 2 * t), np.std(slow > 2 * t, ddof=1) / math.sqrt(slow.size)
-        pf_, sf = np.mean(fast > 2 * t), np.std(fast > 2 * t, ddof=1) / math.sqrt(fast.size)
-        assert abs(ps - pf_) <= 3 * math.hypot(ss, sf)
+    _assert_same_survival(slow, fast, (0.3, 0.9))
 
 
 def test_fast_sampler_matches_forest_reference():
@@ -274,19 +281,123 @@ def test_neutral_sampler_cost_does_not_scale_with_event_count():
         assert abs(mean - math.exp(-t)) <= tol, (t, mean)
 
 
-def test_neutral_sampler_validation():
+def _forest_end_sites(f, i, j):
+    """Sites where the lines at i and j end when traced back: the site of
+    their deepest common node twice, or the sites of their two roots."""
+    exits_i = forward._chain_exits(f, i)
+    exits_j = forward._chain_exits(f, j)
+    common = exits_i.keys() & exits_j.keys()
+    if common:
+        site = f.nodes[max(common, key=lambda k: f.nodes[k].birth_time)].site
+        return site, site
+    return tuple(next(f.nodes[k].site for k in ex if f.nodes[k].parent is None)
+                 for ex in (exits_i, exits_j))
+
+
+def test_neutral_trace_merge_sites_match_forest():
+    # the distance law cannot see how the tracer moves its lines; the law
+    # of the sites where the two lines end can: both on the merge site, or
+    # apart on their time-0 sites
+    N, T, pair = 3, 1.0, (2, 0)
+    p = mk(N, B=0.0)
+    rng = philox(23, 0)
+    slow = np.empty((4000, 2), dtype=np.int64)
+    for r in range(slow.shape[0]):
+        f = init_forest(p, 0.0, (0,) * N)
+        run_until(f, p, T, rng)
+        slow[r] = _forest_end_sites(f, *pair)
+    tau, fast = forward._trace_pair(N, T, 200_000, philox(24, 0), pair)
+    assert np.array_equal(fast[:, 0] == fast[:, 1], tau > 0.0)
+    for a in range(N):
+        for b in range(N):
+            cs = (slow[:, 0] == a) & (slow[:, 1] == b)
+            cf = (fast[:, 0] == a) & (fast[:, 1] == b)
+            se = math.hypot(np.std(cs, ddof=1) / math.sqrt(cs.size),
+                            np.std(cf, ddof=1) / math.sqrt(cf.size))
+            assert abs(cs.mean() - cf.mean()) <= 3 * se, (a, b)
+
+
+def _check_pair_validation(sample):
     with pytest.raises(ParamError, match="population of at least two"):
-        neutral_pair_distance_samples(1, 1.0, 10, seed=0)
-    with pytest.raises(ParamError, match="distinct sites inside the population"):
-        neutral_pair_distance_samples(3, 1.0, 10, seed=0, pair=(0, 0))
+        sample(1, 1.0, 10)
+    for pair in ((0, 0), (0, 3), (-1, 0)):
+        with pytest.raises(ParamError, match="distinct sites inside the population"):
+            sample(3, 1.0, 10, pair=pair)
     for T in (-0.5, math.nan, math.inf):
         with pytest.raises(ParamError, match="horizon must be finite and nonnegative"):
-            neutral_pair_distance_samples(3, T, 10, seed=0)
+            sample(3, T, 10)
     with pytest.raises(ParamError, match="replicate count must be nonnegative"):
-        neutral_pair_distance_samples(3, 1.0, -1, seed=0)
-    assert np.array_equal(neutral_pair_distance_samples(3, 0.0, 4, seed=0),
-                          np.zeros(4))
-    assert neutral_pair_distance_samples(3, 1.0, 0, seed=0).shape == (0,)
+        sample(3, 1.0, -1)
+    assert np.array_equal(sample(3, 0.0, 4), np.zeros(4))
+    assert sample(3, 1.0, 0).shape == (0,)
+
+
+def test_neutral_sampler_validation():
+    _check_pair_validation(
+        lambda N, T, reps, pair=(0, 1):
+        neutral_pair_distance_samples(N, T, reps, seed=0, pair=pair))
+
+
+def test_agreement_sampler_validation():
+    _check_pair_validation(
+        lambda N, T, reps, pair=(0, 1):
+        pair_distance_samples(mk(N, S=1.0), T, reps, seed=0, pair=pair))
+
+
+def _check_pair_sampler_against_forest(p, pair, slow_key, fast_seed):
+    # P(D > 2t) and P(D > 2t, the pair's types agree), so that a wrong
+    # agreement-time update that keeps the distance law near its target
+    # still shows in the types it pairs the distance with
+    T, times = 1.0, (0.1, 0.3, 0.6, 0.9)
+    i, j = pair
+    rng = philox(*slow_key)
+    slow = np.empty((10_000, 2))
+    for r in range(slow.shape[0]):
+        f = init_forest(p, 0.0, rng.integers(0, p.d, size=p.N))
+        run_until(f, p, T, rng)
+        slow[r] = (genealogical_distance(f, i, j),
+                   f.current_types[i] == f.current_types[j])
+    fast = []
+    for k in range(4):
+        types, A = forward._agreement_block(p, T, 50_000, philox(fast_seed, k))
+        assert np.array_equal(A, A.transpose(0, 2, 1))
+        fast.append(np.column_stack([2.0 * (T - A[:, i, j]),
+                                     types[:, i] == types[:, j]]))
+    fast = np.concatenate(fast)
+    _assert_same_survival(slow[:, 0], fast[:, 0], times)
+    _assert_same_survival(np.where(slow[:, 1] == 1, slow[:, 0], 0.0),
+                          np.where(fast[:, 1] == 1, fast[:, 0], 0.0), times)
+
+
+def test_pair_sampler_matches_forest_at_extreme_tilt():
+    # d = 3 and S = N: an unfit site never copies onto the fittest type,
+    # and the thinning rejects the most
+    p = mk(3, d=3, B=0.8, S=3.0, chi=(0.0, 0.3, 1.0),
+           b=((0.2, 0.5, 0.3), (0.4, 0.4, 0.2), (0.1, 0.3, 0.6)))
+    _check_pair_sampler_against_forest(p, (0, 1), (25, 0), 26)
+
+
+def test_pair_sampler_matches_forest_off_the_first_sites():
+    p = mk(6, B=1.0, S=2.0, b=((0.7, 0.3), (0.2, 0.8)))
+    _check_pair_sampler_against_forest(p, (2, 0), (27, 0), 28)
+
+
+def test_pair_sampler_refuses_oversized_population(monkeypatch):
+    # one replicate's agreement times at N = 5,793 take 268,468,392 bytes,
+    # just past the dense budget; the refusal comes before any numpy call
+    assert 8 * 5792 ** 2 <= model.DENSE_SOLVE_BYTES < 8 * 5793 ** 2
+    assert pair_block_count(5792, 10) == 10
+    assert pair_block_count(3, 2 * forward.BLOCK_REPS + 1) == 3
+
+    class NoNumpy:
+        def __getattr__(self, name):
+            raise AssertionError(f"np.{name} reached before the budget check")
+
+    monkeypatch.setattr(forward, "np", NoNumpy())
+    with pytest.raises(BudgetError, match="dense budget"):
+        pair_block_count(5793, 10)
+    with pytest.raises(BudgetError, match="dense budget"):
+        pair_distance_samples(mk(5793, S=1.0), 1.0, 10, seed=0)
 
 
 # --- draw-order guards ------------------------------------------------------
@@ -329,18 +440,29 @@ def test_simulate_types_draw_order_is_pinned():
 
 
 def test_forward_distance_stream_with_selection_is_pinned():
-    # the per-replicate forest runs of `forward-distance` at S > 0
+    # the agreement-time sampler behind `forward-distance` at S > 0: one
+    # block, keyed (seed, 0)
     p = mk(6, B=0.8, S=2.0)
-    got = cli._distance_chunk(p, 1.0, 5, range(20))
-    assert got == [1.4381894081111004, 1.3377164614310306, 0.6875842783361819,
-                   0.6216015108915329, 2.0, 0.5163507671509144,
-                   0.9238783974742064, 2.0, 0.9575480941439407,
-                   1.7967362977458823, 0.1619926624907897, 1.505913396383852,
-                   1.2416171650424228, 2.0, 0.1988037626700434, 2.0,
-                   1.6252774615119803, 0.9543716703005183, 0.319602068483158,
-                   0.8772293417679764]
-    rng = philox(5, 19)
+    got = pair_distance_samples(p, 1.0, 20, 5)
+    assert got.tolist() == [
+        0.0433206823981811, 2.0, 2.0, 1.1667134533583239, 2.0, 2.0, 2.0,
+        0.485232253619559, 0.7893521501623268, 0.3383808823453953,
+        0.3516324466802194, 0.5442316718992801, 0.28817309523435775,
+        1.300260920486732, 0.36806914710681604, 2.0, 2.0, 1.0501422284643387,
+        2.0, 0.17713404172477842]
+    rng = philox(5, 0)
+    _types, A = forward._agreement_block(p, 1.0, 20, rng)
+    assert np.array_equal(2.0 * (1.0 - A[:, 0, 1]), got)
+    assert int(rng.integers(1000)) == 638
+
+
+def test_forward_distance_trace_run_draw_order_is_pinned():
+    # the forest run that writes `trace.csv` and `distances.csv`
+    p = mk(6, B=0.8, S=2.0)
+    rng = philox(5, 0)
     forest = init_forest(p, 0.0, [int(u) for u in rng.integers(0, p.d, size=p.N)])
-    run_until(forest, p, 1.0, rng)
-    assert genealogical_distance(forest, 0, 1) == got[19]
-    assert int(rng.integers(1000)) == 527
+    trace = []
+    run_until(forest, p, 1.0, rng, trace=trace)
+    assert len(trace) == 27
+    assert genealogical_distance(forest, 0, 1) == 1.4381894081111004
+    assert int(rng.integers(1000)) == 308
