@@ -288,7 +288,7 @@ def _exp_forward_distance(cfg: ExperimentConfig, out: str) -> list:
     else:
         # counting the blocks refuses a population too large for the
         # dense budget before any worker starts
-        dists = _fan_out(pair_distance_samples, (p, T, reps, cfg.seed, (0, 1)),
+        dists = _fan_out(pair_distance_samples, (p, T, reps, cfg.seed),
                          pair_block_count(p.N, reps), cfg.workers)
 
     _write_survival(out, "distance_survival.csv", "distance-survival",

@@ -361,30 +361,27 @@ def pair_block_count(N: int, reps: int) -> int:
 
 
 def pair_distance_samples(p: ModelParams, T: float, reps: int, seed: int,
-                          pair=(0, 1), blocks=None) -> np.ndarray:
-    """Genealogical distances of one site pair at time T, any S.
+                          blocks) -> np.ndarray:
+    """Genealogical distances of sites 0 and 1 at time T, any S.
 
     Populations start from uniform random types at time 0 and run under
     `_step_at`'s event law, but no forest is kept: the replicates of a
     block advance together, and each carries its types and the matrix
     A whose entry (i, j) is the last time the lines at sites i and j
-    agreed (0 if never).  The pair's distance is 2 (T - A[pair]).
-    Replicates run in blocks of BLOCK_REPS (fewer at large N, see
-    `pair_block_count`); block k draws from the stream keyed (seed, k).
-    `blocks`, if given, runs only those block indices and returns their
-    replicates in that order.
+    agreed (0 if never).  The distance is 2 (T - A[0, 1]).  The reps
+    replicates fall into `pair_block_count(N, reps)` blocks of
+    BLOCK_REPS (fewer at large N); block k draws from the stream keyed
+    (seed, k).  Only the block indices in `blocks` run, and their
+    replicates come back in that order.
     """
     validate_params(p)
-    T = _check_pair_args(p.N, T, reps, pair)
+    T = _check_pair_args(p.N, T, reps, (0, 1))
     size = _block_size(p.N)
-    if blocks is None:
-        blocks = range(pair_block_count(p.N, reps))
-    i0, j0 = pair
     parts = []
     for k in blocks:
         rng = np.random.Generator(np.random.Philox(key=(seed, k)))
         _types, A = _agreement_block(p, T, min(size, reps - k * size), rng)
-        parts.append(2.0 * (T - A[:, i0, j0]))
+        parts.append(2.0 * (T - A[:, 0, 1]))
     return np.concatenate(parts) if parts else np.zeros(0)
 
 

@@ -317,12 +317,14 @@ def test_neutral_trace_merge_sites_match_forest():
             assert abs(cs.mean() - cf.mean()) <= 3 * se, (a, b)
 
 
+def _agreement_samples(p, T, reps, seed):
+    return pair_distance_samples(p, T, reps, seed,
+                                 range(pair_block_count(p.N, reps)))
+
+
 def _check_pair_validation(sample):
     with pytest.raises(ParamError, match="population of at least two"):
         sample(1, 1.0, 10)
-    for pair in ((0, 0), (0, 3), (-1, 0)):
-        with pytest.raises(ParamError, match="distinct sites inside the population"):
-            sample(3, 1.0, 10, pair=pair)
     for T in (-0.5, math.nan, math.inf):
         with pytest.raises(ParamError, match="horizon must be finite and nonnegative"):
             sample(3, T, 10)
@@ -334,14 +336,15 @@ def _check_pair_validation(sample):
 
 def test_neutral_sampler_validation():
     _check_pair_validation(
-        lambda N, T, reps, pair=(0, 1):
-        neutral_pair_distance_samples(N, T, reps, seed=0, pair=pair))
+        lambda N, T, reps: neutral_pair_distance_samples(N, T, reps, seed=0))
+    for pair in ((0, 0), (0, 3), (-1, 0)):
+        with pytest.raises(ParamError, match="distinct sites inside the population"):
+            neutral_pair_distance_samples(3, 1.0, 10, seed=0, pair=pair)
 
 
 def test_agreement_sampler_validation():
     _check_pair_validation(
-        lambda N, T, reps, pair=(0, 1):
-        pair_distance_samples(mk(N, S=1.0), T, reps, seed=0, pair=pair))
+        lambda N, T, reps: _agreement_samples(mk(N, S=1.0), T, reps, seed=0))
 
 
 def _check_pair_sampler_against_forest(p, pair, slow_key, fast_seed):
@@ -397,7 +400,7 @@ def test_pair_sampler_refuses_oversized_population(monkeypatch):
     with pytest.raises(BudgetError, match="dense budget"):
         pair_block_count(5793, 10)
     with pytest.raises(BudgetError, match="dense budget"):
-        pair_distance_samples(mk(5793, S=1.0), 1.0, 10, seed=0)
+        pair_distance_samples(mk(5793, S=1.0), 1.0, 10, 0, range(1))
 
 
 # --- draw-order guards ------------------------------------------------------
@@ -443,7 +446,7 @@ def test_forward_distance_stream_with_selection_is_pinned():
     # the agreement-time sampler behind `forward-distance` at S > 0: one
     # block, keyed (seed, 0)
     p = mk(6, B=0.8, S=2.0)
-    got = pair_distance_samples(p, 1.0, 20, 5)
+    got = _agreement_samples(p, 1.0, 20, 5)
     assert got.tolist() == [
         0.0433206823981811, 2.0, 2.0, 1.1667134533583239, 2.0, 2.0, 2.0,
         0.485232253619559, 0.7893521501623268, 0.3383808823453953,
