@@ -8,11 +8,10 @@ conditioned (survival-reweighted) path samplers; and reduced chains for
 the common-ancestor type and the pair genealogical distance, with
 equilibrium and survival solvers plus diffusion-limit variants.
 """
-from .model import (BudgetError, MixedMomentTable, ModelParams, ParamError,
-                    StationaryTypeLaw, finite_stationary_law,
-                    moment_recurrence_residuals, pn_probability,
-                    resampling_rate, two_type_mutation_rates, validate_params,
-                    wf_mixed_moments, wf_single_moment)
+from .model import (BudgetError, ModelParams, ParamError, StationaryTypeLaw,
+                    finite_stationary_law, moment_recurrence_residuals,
+                    pn_probability, resampling_rate, two_type_mutation_rates,
+                    validate_params, wf_single_moment)
 from .forward import (ForestNode, HmmEvent, LineageForest, cat_fixation_type,
                       genealogical_distance, init_forest,
                       neutral_pair_distance_samples, pair_block_count,
@@ -45,10 +44,9 @@ __version__ = "0.1.0"
 __all__ = [
     "__version__",
     # model
-    "BudgetError", "MixedMomentTable", "ModelParams", "ParamError",
-    "StationaryTypeLaw", "finite_stationary_law",
-    "moment_recurrence_residuals", "pn_probability", "resampling_rate",
-    "two_type_mutation_rates", "validate_params", "wf_mixed_moments",
+    "BudgetError", "ModelParams", "ParamError", "StationaryTypeLaw",
+    "finite_stationary_law", "moment_recurrence_residuals", "pn_probability",
+    "resampling_rate", "two_type_mutation_rates", "validate_params",
     "wf_single_moment",
     # forward
     "ForestNode", "HmmEvent", "LineageForest", "cat_fixation_type",

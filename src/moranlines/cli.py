@@ -6,9 +6,11 @@ the command line.  Every run writes CSV outputs plus a long-format
 plotdata.csv, then finalizes a manifest.csv (config hash, package
 version, wall time, per-output checksums) atomically so a complete
 manifest implies complete outputs.  Output bodies are deterministic for
-a fixed config: reruns are byte-identical, replicate randomness comes
-from counter-based streams keyed (seed, replicate or block index), and
-worker count never changes results.
+a fixed config: reruns are byte-identical, and replicate randomness
+comes from counter-based streams keyed (seed, replicate or block index),
+except for forward-distance at S = 0, whose pair tracer draws every
+replicate from one stream keyed seed in a single process, whatever the
+worker count.  The worker count never changes results.
 
 Exit codes: 0 success, 2 validation failure, 3 exceeded numerical or
 state budget, 4 numerical failure (a solver failed or a computed
@@ -105,6 +107,14 @@ def _model_from(raw: dict) -> ModelParams:
 def resolve_config(raw: dict, experiment: str, seed=None, out=None,
                    workers=None) -> ExperimentConfig:
     """Merge the config file with command-line overrides and validate."""
+    try:
+        return _resolve(raw, experiment, seed, out, workers)
+    except (TypeError, AttributeError, OverflowError) as exc:
+        # a value of the wrong JSON type, or an infinite integer
+        raise ParamError(f"malformed config: {exc}") from exc
+
+
+def _resolve(raw, experiment, seed, out, workers) -> ExperimentConfig:
     if experiment not in EXPERIMENTS:
         raise ParamError("unknown experiment")
     cfg_exp = raw.get("experiment")
@@ -123,6 +133,8 @@ def resolve_config(raw: dict, experiment: str, seed=None, out=None,
     if replicates < 1:
         raise ParamError("replicate count must be at least 1")
     cfg_seed = int(seed if seed is not None else raw.get("seed", 0))
+    if not 0 <= cfg_seed < 2**64:
+        raise ParamError("seed must be an integer in [0, 2**64)")
     out_dir = str(out if out is not None else raw.get("out", "results"))
     n_workers = int(workers if workers is not None else raw.get("workers", 1))
     if n_workers < 1:
@@ -130,6 +142,8 @@ def resolve_config(raw: dict, experiment: str, seed=None, out=None,
     tagged = {int(k): int(v) for k, v in raw.get("tagged", {}).items()}
     nu = tuple(float(x) for x in raw["nu"]) if "nu" in raw else None
     ns = tuple(int(n) for n in raw.get("ns", (0,)))
+    if not ns:
+        raise ParamError("ns must list at least one pinned count")
     order = int(raw.get("order", 3))
     n_max = int(raw.get("n_max", 32))
 

@@ -22,13 +22,11 @@ __all__ = [
     "BudgetError",
     "ModelParams",
     "StationaryTypeLaw",
-    "MixedMomentTable",
     "validate_params",
     "resampling_rate",
     "two_type_mutation_rates",
     "finite_stationary_law",
     "pn_probability",
-    "wf_mixed_moments",
     "wf_single_moment",
     "moment_recurrence_residuals",
 ]
@@ -282,21 +280,6 @@ def pn_probability(law: StationaryTypeLaw, n: int, m: int) -> float:
     return float(np.exp(logsumexp(log_terms)))
 
 
-@dataclass(frozen=True)
-class MixedMomentTable:
-    """E[(n, m)] = E[1^n, 0^m], the equilibrium mixed moments of the
-    two-type diffusion limit, for all n + m <= maxOrder."""
-
-    E: dict = field(compare=False)
-    maxOrder: int
-
-    def moment(self, n: int, m: int) -> float:
-        try:
-            return self.E[(n, m)]
-        except KeyError:
-            raise ParamError("moment order beyond table") from None
-
-
 @functools.lru_cache(maxsize=None)
 def _log_raw_moment(a0: float, a1: float, two_s: float, n: int, m: int) -> float:
     # log of the unnormalized moment of z^n (1-z)^m against
@@ -334,52 +317,32 @@ def _log_raw_moment(a0: float, a1: float, two_s: float, n: int, m: int) -> float
     return math.log(val) + peak
 
 
-def _moment_shape(p: ModelParams) -> tuple:
-    b0, b1 = two_type_mutation_rates(p)
-    a1 = 2.0 * p.B * b1
-    a0 = 2.0 * p.B * b0
-    if a1 <= 0 or a0 <= 0:
-        raise ParamError("density not normalizable at a boundary")
-    return a0, a1, 2.0 * p.S
-
-
 def wf_single_moment(p: ModelParams, n: int, m: int) -> float:
-    """E[1^n, 0^m] of the stationary two-type diffusion, one order at a time."""
+    """E[1^n, 0^m], a mixed moment of the stationary two-type diffusion.
+
+    The stationary density of the limit generator
+        [B b1 (1-z) - B b0 z + S z(1-z)] f' + (1/2) z (1-z) f''
+    is z^{2Bb1-1} (1-z)^{2Bb0-1} e^{2Sz} up to normalization; each moment
+    is integrated adaptively after the substitution z = sin^2(theta),
+    which absorbs the boundary singularities into polynomial weights, and
+    cached per order.
+    """
     validate_params(p)
     if n < 0 or m < 0:
         raise ParamError("negative sample size")
-    a0, a1, two_s = _moment_shape(p)
+    b0, b1 = two_type_mutation_rates(p)
+    a0, a1, two_s = 2.0 * p.B * b0, 2.0 * p.B * b1, 2.0 * p.S
+    if a1 <= 0 or a0 <= 0:
+        raise ParamError("density not normalizable at a boundary")
     if (n, m) == (0, 0):
         return 1.0
     return math.exp(_log_raw_moment(a0, a1, two_s, n, m)
                     - _log_raw_moment(a0, a1, two_s, 0, 0))
 
 
-def wf_mixed_moments(p: ModelParams, maxOrder: int) -> MixedMomentTable:
-    """Mixed moments of the stationary two-type diffusion by quadrature.
-
-    The stationary density of the limit generator
-        [B b1 (1-z) - B b0 z + S z(1-z)] f' + (1/2) z (1-z) f''
-    is z^{2Bb1-1} (1-z)^{2Bb0-1} e^{2Sz} up to normalization; each moment
-    is integrated adaptively after the substitution z = sin^2(theta),
-    which absorbs the boundary singularities into polynomial weights.
-    """
-    validate_params(p)
-    if maxOrder < 1:
-        raise ParamError("maxOrder must be positive")
-    a0, a1, two_s = _moment_shape(p)
-    log_norm = _log_raw_moment(a0, a1, two_s, 0, 0)
-    table = {}
-    for n in range(maxOrder + 1):
-        for m in range(maxOrder + 1 - n):
-            table[(n, m)] = (math.exp(_log_raw_moment(a0, a1, two_s, n, m)
-                                      - log_norm)
-                             if (n, m) != (0, 0) else 1.0)
-    return MixedMomentTable(E=table, maxOrder=maxOrder)
-
-
-def moment_recurrence_residuals(table: MixedMomentTable, p: ModelParams) -> float:
-    """Max relative residual of the three equilibrium moment recurrences.
+def moment_recurrence_residuals(p: ModelParams, max_order: int) -> float:
+    """Max relative residual of the three equilibrium moment recurrences,
+    over every moment of total order at most max_order.
 
     With E0_k = E[0^k], E1_k = E[1, 0^k], E2_k = E[1^2, 0^k]:
       (n+1+2B+2S) E0_{n+2} = (n+1+2Bb0) E0_{n+1} + 2S E0_{n+3}
@@ -388,25 +351,27 @@ def moment_recurrence_residuals(table: MixedMomentTable, p: ModelParams) -> floa
       ((n+2)(n+1+2B+2S) - 4S) E2_n
           = n(n+2Bb0-1) E2_{n-1} + 2(1+2Bb1) E1_n + (n+2) 2S E2_{n+1}
     """
+    if max_order < 1:
+        raise ParamError("maxOrder must be positive")
     b0, b1 = two_type_mutation_rates(p)
     B, S = p.B, p.S
-    E = table.E
+    E = functools.partial(wf_single_moment, p)
     worst = 0.0
-    for n in range(0, table.maxOrder - 2):
-        lhs = (n + 1 + 2 * B + 2 * S) * E[(0, n + 2)]
-        rhs = (n + 1 + 2 * B * b0) * E[(0, n + 1)] + 2 * S * E[(0, n + 3)]
+    for n in range(0, max_order - 2):
+        lhs = (n + 1 + 2 * B + 2 * S) * E(0, n + 2)
+        rhs = (n + 1 + 2 * B * b0) * E(0, n + 1) + 2 * S * E(0, n + 3)
         worst = max(worst, abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-300))
 
-        lhs = ((n + 2) * (n + 1 + 2 * B + 2 * S) - 2 * S) * E[(1, n + 1)]
-        rhs = ((n + 1) * (n + 2 * B * b0) * E[(1, n)]
-               + 2 * B * b1 * E[(0, n + 1)]
-               + (n + 2) * 2 * S * E[(1, n + 2)])
+        lhs = ((n + 2) * (n + 1 + 2 * B + 2 * S) - 2 * S) * E(1, n + 1)
+        rhs = ((n + 1) * (n + 2 * B * b0) * E(1, n)
+               + 2 * B * b1 * E(0, n + 1)
+               + (n + 2) * 2 * S * E(1, n + 2))
         worst = max(worst, abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-300))
 
-        lhs = ((n + 2) * (n + 1 + 2 * B + 2 * S) - 4 * S) * E[(2, n)]
-        rhs = (2 * (1 + 2 * B * b1) * E[(1, n)]
-               + (n + 2) * 2 * S * E[(2, n + 1)])
+        lhs = ((n + 2) * (n + 1 + 2 * B + 2 * S) - 4 * S) * E(2, n)
+        rhs = (2 * (1 + 2 * B * b1) * E(1, n)
+               + (n + 2) * 2 * S * E(2, n + 1))
         if n >= 1:
-            rhs += n * (n + 2 * B * b0 - 1) * E[(2, n - 1)]
+            rhs += n * (n + 2 * B * b0 - 1) * E(2, n - 1)
         worst = max(worst, abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-300))
     return worst

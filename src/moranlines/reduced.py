@@ -254,6 +254,8 @@ def cat_equilibrium(spec: CatChainSpec, n_max: int = 32) -> CatEquilibrium:
     truncation boundary drops below CAT_TAIL_TOL, failing with a budget
     error past CAT_N_CAP.
     """
+    if n_max < 1:
+        raise ParamError("n_max must be at least 1")
     if spec.mode == "finite":
         gen = cat_generator(spec)
         pi = stationary_vector(gen.Q.toarray())
@@ -261,14 +263,15 @@ def cat_equilibrium(spec: CatChainSpec, n_max: int = 32) -> CatEquilibrium:
     else:
         n_top = n_max
         while True:
+            # checked before the dense solve, which takes 32 n_top^2 bytes
+            if n_top > CAT_N_CAP:
+                raise BudgetError("tail bound unmet at nMax cap")
             gen = cat_generator(spec, n_top=n_top)
             pi = stationary_vector(gen.Q.toarray())
             tail = sum(pi[gen.index[(u, n_top)]] for u in (0, 1))
             if tail < CAT_TAIL_TOL:
                 break
             n_top *= 2
-            if n_top > CAT_N_CAP:
-                raise BudgetError("tail bound unmet at nMax cap")
     m0 = float(sum(pi[k] for k, s in enumerate(gen.states) if s[0] == 0))
     m1 = float(sum(pi[k] for k, s in enumerate(gen.states) if s[0] == 1))
     return CatEquilibrium(states=gen.states, pi=pi, marginal=(m0, m1),
@@ -400,64 +403,49 @@ def dist_chain_vs_bp(p: ModelParams, t: float) -> ChainVsBpReport:
 
 @dataclass(frozen=True)
 class SurvivalTable:
-    """Survival probabilities of the pair chain.
+    """Survival probabilities of the pair chain, read from the solution
+    vectors on the truncated level ladder (sol maps each time to one).
 
-    f maps (y, n, t) to the probability of no coalescence by time t from
-    (y, n); pf maps (n, t) to the start-weighted combination
-    w00 f(00) + w11 f(11) + 2 w01 f(01); remainder maps (n, t) to the
-    leftover coupling term of the weighted recursion.  The full solution
-    vectors on the truncated level ladder are kept so residual checks can
-    reuse them."""
+    f_value(y, n, t) is the probability of no coalescence by time t from
+    (y, n); pf_value(n, t) is the start-weighted combination
+    w00 f(00) + w11 f(11) + 2 w01 f(01).  Only the requested levels ns
+    and times ts are served."""
 
+    spec: DistChainSpec = field(repr=False)
     ts: tuple
     ns: tuple
-    f: dict = field(compare=False)
-    pf: dict = field(compare=False)
-    remainder: dict = field(compare=False)
-    n_top: int = 0
-    gen: GeneratorMatrix = field(compare=False, repr=False, default=None)
-    sol: dict = field(compare=False, repr=False, default=None)
+    n_top: int
+    gen: GeneratorMatrix = field(compare=False, repr=False)
+    sol: dict = field(compare=False, repr=False)
 
     def f_value(self, y: str, n: int, t: float) -> float:
-        try:
-            return self.f[(y, n, t)]
-        except KeyError:
-            raise ParamError("survival value outside table") from None
+        if y not in Y_STATES or n not in self.ns or t not in self.ts:
+            raise ParamError("survival value outside table")
+        return float(self.sol[float(t)][self.gen.index[(y, n)]])
 
     def pf_value(self, n: int, t: float) -> float:
-        try:
-            return self.pf[(n, t)]
-        except KeyError:
-            raise ParamError("survival value outside table") from None
-
-    def r_value(self, n: int, t: float) -> float:
-        try:
-            return self.remainder[(n, t)]
-        except KeyError:
-            raise ParamError("survival value outside table") from None
+        f00, f11, f01 = (self.f_value(y, n, t) for y in Y_STATES)
+        w = self.spec.weight
+        return float(w("00", n) * f00 + w("11", n) * f11
+                     + 2.0 * w("01", n) * f01)
 
 
 def _survive_solve(spec: DistChainSpec, ts, n_top: int) -> tuple:
+    """(generator, {t: survival vector}) at every time in ts and at 0."""
     gen = dist_generator(spec, n_top=n_top, with_absorbed=False)
     Q = gen.Q
     y0 = np.ones(gen.n)
-    t_max = max(ts)
-    if t_max == 0.0:
-        sol_vals = {0.0: y0}
-        return gen, sol_vals
-    t_eval = sorted(set(float(t) for t in ts if t > 0.0))
-
-    def rhs(_t, f):
-        return Q @ f
-
-    sol = solve_ivp(rhs, (0.0, t_max), y0, method="Radau", t_eval=t_eval,
-                    jac=Q, rtol=ODE_RTOL, atol=ODE_ATOL)
-    if not sol.success:
-        raise ArithmeticError(f"stiff solve failed: {sol.message}")
-    sol_vals = {0.0: y0}
-    for k, t in enumerate(t_eval):
-        sol_vals[t] = sol.y[:, k]
-    return gen, sol_vals
+    sol = {0.0: y0}
+    t_eval = sorted(set(t for t in ts if t > 0.0))
+    if not t_eval:
+        return gen, sol
+    res = solve_ivp(lambda _t, f: Q @ f, (0.0, t_eval[-1]), y0,
+                    method="Radau", t_eval=t_eval, jac=Q, rtol=ODE_RTOL,
+                    atol=ODE_ATOL)
+    if not res.success:
+        raise ArithmeticError(f"stiff solve failed: {res.message}")
+    sol.update(zip(t_eval, res.y.T))
+    return gen, sol
 
 
 def dist_survival(spec: DistChainSpec, ts, ns,
@@ -470,61 +458,34 @@ def dist_survival(spec: DistChainSpec, ts, ns,
     """
     ts = tuple(float(t) for t in ts)
     ns = tuple(int(n) for n in ns)
-    if any(t < 0 for t in ts):
+    if not all(t >= 0 for t in ts):  # phrased so that NaN fails
         raise ParamError("nonnegative time required")
+    if any(n < 0 for n in ns):
+        raise ParamError("pinned count must be nonnegative")
+    if n_max < 1:
+        raise ParamError("n_max must be at least 1")
     if spec.mode == "finite":
         n_top = spec.p.N - 2
         if any(n > n_top for n in ns):
             raise ParamError("pinned count outside finite chain range")
         gen, sol = _survive_solve(spec, ts, n_top)
-        return _survival_table(spec, gen, sol, ts, ns, n_top)
+        return SurvivalTable(spec, ts, ns, n_top, gen, sol)
 
-    if any(n > n_max for n in ns):
-        n_max = max(ns) + 16
-    n_top = n_max
-    gen, sol = _survive_solve(spec, ts, n_top)
-    while True:
-        if 2 * n_top > DIST_N_CAP:
-            raise BudgetError("truncation unconverged at nMax cap; "
-                              "increase nMax")
+    n_top = n_max if all(n <= n_max for n in ns) else max(ns) + 16
+    sol = None
+    while 2 * n_top <= DIST_N_CAP:
+        if sol is None:
+            gen, sol = _survive_solve(spec, ts, n_top)
         gen2, sol2 = _survive_solve(spec, ts, 2 * n_top)
-        worst = 0.0
-        for t in sol:
-            for y in Y_STATES:
-                for n in ns:
-                    a = sol[t][gen.index[(y, n)]]
-                    b = sol2[t][gen2.index[(y, n)]]
-                    worst = max(worst, abs(a - b))
+        keys = [(y, n) for y in Y_STATES for n in ns]
+        at = [gen.index[k] for k in keys]
+        at2 = [gen2.index[k] for k in keys]
+        worst = max(np.abs(sol[t][at] - sol2[t][at2]).max(initial=0.0)
+                    for t in sol)
         gen, sol, n_top = gen2, sol2, 2 * n_top
         if worst < DIST_CONV_TOL:
-            break
-    return _survival_table(spec, gen, sol, ts, ns, n_top)
-
-
-def _survival_table(spec, gen, sol, ts, ns, n_top) -> SurvivalTable:
-    f = {}
-    pf = {}
-    rem = {}
-    S = spec.p.S
-    for t in ts:
-        vec = sol[float(t)]
-        for n in ns:
-            for y in Y_STATES:
-                f[(y, n, t)] = float(vec[gen.index[(y, n)]])
-            pf[(n, t)] = float(
-                spec.weight("00", n) * f[("00", n, t)]
-                + spec.weight("11", n) * f[("11", n, t)]
-                + 2.0 * spec.weight("01", n) * f[("01", n, t)])
-            r = (2.0 * S * spec.weight("11", n) * f[("11", n, t)]
-                 + 2.0 * S * spec.weight("01", n) * f[("01", n, t)])
-            if n >= 1:
-                r += (2.0 * n * spec.weight("00", n - 1)
-                      * float(vec[gen.index[("00", n - 1)]])
-                      + 2.0 * n * spec.weight("01", n - 1)
-                      * float(vec[gen.index[("01", n - 1)]]))
-            rem[(n, t)] = float(r)
-    return SurvivalTable(ts=ts, ns=ns, f=f, pf=pf, remainder=rem,
-                         n_top=n_top, gen=gen, sol=sol)
+            return SurvivalTable(spec, ts, ns, n_top, gen, sol)
+    raise BudgetError("truncation unconverged at nMax cap; increase nMax")
 
 
 @dataclass(frozen=True)
@@ -553,6 +514,8 @@ def dist_taylor_coeffs(spec: DistChainSpec, n: int = 0,
             n_top = spec.p.N - 2
         if n > n_top:
             raise ParamError("pinned count outside finite chain range")
+    elif n_top > DIST_N_CAP:
+        raise BudgetError("truncation above nMax cap")
     gen = dist_generator(spec, n_top=n_top, with_absorbed=False)
     w = np.array([spec.weight("00", n), spec.weight("11", n),
                   2.0 * spec.weight("01", n)])

@@ -18,8 +18,7 @@ from moranlines.backward import canonical_start, make_state
 from moranlines.exact import (build_bp_generator, compute_h, duality_reports,
                               harmonic_residual)
 from moranlines.forward import neutral_pair_distance_samples
-from moranlines.model import (moment_recurrence_residuals, wf_mixed_moments,
-                              wf_single_moment)
+from moranlines.model import moment_recurrence_residuals, wf_single_moment
 from moranlines.reduced import (CatChainSpec, DistChainSpec, cat_chain_vs_bp,
                                 cat_equilibrium, dist_chain_vs_bp,
                                 dist_survival, dist_taylor_coeffs,
@@ -192,8 +191,8 @@ def test_criterion_08_moment_recurrences():
     for B in (0.5, 1.0, 2.0):
         for S in (0.5, 1.0, 2.0):
             p = mk(10, B=B, b=PI, S=S)
-            table = wf_mixed_moments(p, 23)  # recurrences scanned to n = 20
-            worst = max(worst, moment_recurrence_residuals(table, p))
+            # recurrences scanned to n = 20
+            worst = max(worst, moment_recurrence_residuals(p, 23))
     assert worst <= 1e-8
     _pass(8, f"max relative residual {worst:.2e}", t0, 30.0)
 

@@ -118,6 +118,9 @@ CONDITIONED_CFG = {
 # three blocks of the agreement-time sampler at N = 3, so three workers
 # split them (the block count is checked in test_forward)
 BLOCKS_CFG = {**FORWARD_CFG, "replicates": 2 * BLOCK_REPS + 1}
+# at S = 0 the neutral tracer draws one stream keyed seed in one process,
+# whatever the worker count
+NEUTRAL_CFG = {**FORWARD_CFG, "model": {**FORWARD_CFG["model"], "S": 0.0}}
 FORWARD_NAMES = ["distance_survival.csv", "trace.csv", "distances.csv",
                  "plotdata.csv"]
 
@@ -125,10 +128,11 @@ FORWARD_NAMES = ["distance_survival.csv", "trace.csv", "distances.csv",
 @pytest.mark.parametrize("experiment,payload,names", [
     ("forward-distance", FORWARD_CFG, FORWARD_NAMES),
     ("forward-distance", BLOCKS_CFG, FORWARD_NAMES),
+    ("forward-distance", NEUTRAL_CFG, FORWARD_NAMES),
     ("conditioned-distance", CONDITIONED_CFG,
      ["conditioned_survival.csv", "plotdata.csv"]),
 ], ids=["forward-distance", "forward-distance-blocks",
-        "conditioned-distance"])
+        "forward-distance-neutral", "conditioned-distance"])
 def test_worker_count_never_changes_results(tmp_path, experiment, payload,
                                             names):
     cfg = write_cfg(tmp_path / "cfg.json", payload)
@@ -200,6 +204,13 @@ BAD_CASES = [
      {"model": {"N": 3, "d": 2, "B": 0.8, "S": 1.0,
                 "b": [0.5, 0.5, 0.5], "chi": [0.0, 1.0]}},
      "d*d entries"),
+    ("b_number",
+     {**DUALITY_CFG, "model": {**DUALITY_CFG["model"], "b": 5}},
+     "malformed config"),
+    ("tagged_list", {**DUALITY_CFG, "tagged": [1, 2]}, "malformed config"),
+    ("model_list", {**DUALITY_CFG, "model": [1, 2]}, "malformed config"),
+    ("inf_seed", {**DUALITY_CFG, "seed": float("inf")}, "malformed config"),
+    ("negative_seed", {**DUALITY_CFG, "seed": -1}, "seed must be"),
 ]
 
 
@@ -317,12 +328,14 @@ def test_nan_nu_conditioned_exit_2(tmp_path, capsys):
     assert not (out / "manifest.csv").exists()
 
 
+CAT_CFG = {
+    "model": {"N": 5, "d": 2, "B": 1.0, "S": 1.0,
+              "b": [[0.3, 0.7], [0.3, 0.7]], "chi": [0.0, 1.0]},
+}
+
+
 def test_cat_equilibrium_plot_series(tmp_path):
-    payload = {
-        "model": {"N": 5, "d": 2, "B": 1.0, "S": 1.0,
-                  "b": [[0.3, 0.7], [0.3, 0.7]], "chi": [0.0, 1.0]},
-    }
-    cfg = write_cfg(tmp_path / "cfg.json", payload)
+    cfg = write_cfg(tmp_path / "cfg.json", CAT_CFG)
     out = tmp_path / "out"
     assert main(["cat-equilibrium", "--config", cfg, "--out", str(out)]) == 0
     series = read_plot_series(out)
@@ -337,15 +350,17 @@ def test_cat_equilibrium_plot_series(tmp_path):
     assert {row["mode"] for row in rows} == {"finite", "limit"}
 
 
+SURVIVAL_CFG = {
+    "model": {"N": 10, "d": 2, "B": 1.0, "S": 0.0,
+              "b": [[0.5, 0.5], [0.5, 0.5]], "chi": [0.0, 1.0]},
+    "times": [0.25, 0.5],
+    "ns": [0],
+    "n_max": 8,
+}
+
+
 def test_survival_table_outputs(tmp_path):
-    payload = {
-        "model": {"N": 10, "d": 2, "B": 1.0, "S": 0.0,
-                  "b": [[0.5, 0.5], [0.5, 0.5]], "chi": [0.0, 1.0]},
-        "times": [0.25, 0.5],
-        "ns": [0],
-        "n_max": 8,
-    }
-    cfg = write_cfg(tmp_path / "cfg.json", payload)
+    cfg = write_cfg(tmp_path / "cfg.json", SURVIVAL_CFG)
     out = tmp_path / "out"
     assert main(["survival-table", "--config", cfg, "--out", str(out)]) == 0
     for name in ("survival.csv", "pf.csv", "moments.csv", "plotdata.csv"):
@@ -360,14 +375,16 @@ def test_survival_table_outputs(tmp_path):
             assert abs(float(row["value"]) - np.exp(-t)) < 1e-8
 
 
+TAYLOR_CFG = {
+    "model": {"N": 10, "d": 2, "B": 1.0, "S": 1.0,
+              "b": [[0.5, 0.5], [0.5, 0.5]], "chi": [0.0, 1.0]},
+    "ns": [0],
+    "order": 3,
+}
+
+
 def test_taylor_report_values(tmp_path):
-    payload = {
-        "model": {"N": 10, "d": 2, "B": 1.0, "S": 1.0,
-                  "b": [[0.5, 0.5], [0.5, 0.5]], "chi": [0.0, 1.0]},
-        "ns": [0],
-        "order": 3,
-    }
-    cfg = write_cfg(tmp_path / "cfg.json", payload)
+    cfg = write_cfg(tmp_path / "cfg.json", TAYLOR_CFG)
     out = tmp_path / "out"
     assert main(["taylor-report", "--config", cfg, "--out", str(out)]) == 0
     with open(out / "taylor.csv", newline="", encoding="utf-8") as fh:
@@ -380,19 +397,51 @@ def test_taylor_report_values(tmp_path):
     assert abs(got["df-01"]) < 1e-14
 
 
+CROSS_CFG = {
+    "model": {"N": 3, "d": 2, "B": 0.7, "S": 1.0,
+              "b": [[0.3, 0.7], [0.3, 0.7]], "chi": [0.0, 1.0]},
+    "times": [0.5],
+}
+
+
 def test_cross_check_certifies_reductions(tmp_path):
-    payload = {
-        "model": {"N": 3, "d": 2, "B": 0.7, "S": 1.0,
-                  "b": [[0.3, 0.7], [0.3, 0.7]], "chi": [0.0, 1.0]},
-        "times": [0.5],
-    }
-    cfg = write_cfg(tmp_path / "cfg.json", payload)
+    cfg = write_cfg(tmp_path / "cfg.json", CROSS_CFG)
     out = tmp_path / "out"
     assert main(["cross-check", "--config", cfg, "--out", str(out)]) == 0
     with open(out / "crosscheck.csv", newline="", encoding="utf-8") as fh:
         rows = list(csv.DictReader(fh))
     assert {row["chain"] for row in rows} == {"cat", "dist"}
     assert all(float(row["max_gap"]) < 1e-9 for row in rows)
+
+
+# (id, experiment, config, message fragment) for checks that only some
+# experiments reach
+RUN_BAD_CASES = [
+    ("negative_ns", "survival-table", {**SURVIVAL_CFG, "ns": [-1]},
+     "pinned count must be nonnegative"),
+    ("empty_ns", "taylor-report", {**TAYLOR_CFG, "ns": []},
+     "at least one pinned count"),
+    ("zero_n_max_cat", "cat-equilibrium", {**CAT_CFG, "n_max": 0},
+     "n_max must be at least 1"),
+    ("negative_n_max_cat", "cat-equilibrium", {**CAT_CFG, "n_max": -3},
+     "n_max must be at least 1"),
+    ("zero_n_max_survival", "survival-table", {**SURVIVAL_CFG, "n_max": 0},
+     "n_max must be at least 1"),
+]
+
+
+@pytest.mark.parametrize("label,experiment,payload,fragment",
+                         RUN_BAD_CASES, ids=[c[0] for c in RUN_BAD_CASES])
+def test_experiment_validation_failures_exit_2(tmp_path, capsys, label,
+                                               experiment, payload, fragment):
+    cfg = write_cfg(tmp_path / "cfg.json", payload)
+    out = tmp_path / "out"
+    rc = main([experiment, "--config", cfg, "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert fragment in err
+    assert not (out / "manifest.csv").exists()
 
 
 def test_emit_plotdata_rejects_empty(tmp_path):

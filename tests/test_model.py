@@ -9,7 +9,7 @@ import moranlines.model as model
 from moranlines import (BudgetError, ModelParams, ParamError, build_type_generator,
                         finite_stationary_law, moment_recurrence_residuals,
                         pn_probability, resampling_rate, validate_params,
-                        wf_mixed_moments, wf_single_moment)
+                        wf_single_moment)
 
 from helpers import batch_means, mk, philox
 
@@ -320,37 +320,34 @@ def test_moments_vs_truncated_ladder():
 
 def test_moment_table_binomial_and_bounds():
     p = mk(4, S=1.5, B=0.8, b=((0.4, 0.6), (0.4, 0.6)))
-    table = wf_mixed_moments(p, 8)
-    assert table.moment(0, 0) == pytest.approx(1.0, abs=1e-12)
+    assert wf_single_moment(p, 0, 0) == pytest.approx(1.0, abs=1e-12)
     for n in range(8):
         for m in range(8 - n):
-            e = table.moment(n, m)
+            e = wf_single_moment(p, n, m)
             assert 0.0 < e <= 1.0 + 1e-12
-            split = table.moment(n + 1, m) + table.moment(n, m + 1)
+            split = (wf_single_moment(p, n + 1, m)
+                     + wf_single_moment(p, n, m + 1))
             assert e == pytest.approx(split, rel=1e-11)
-            assert table.moment(n + 1, m) <= e + 1e-13
-            assert table.moment(n, m + 1) <= e + 1e-13
-    with pytest.raises(ParamError, match="moment order beyond table"):
-        table.moment(8, 1)
+            assert wf_single_moment(p, n + 1, m) <= e + 1e-13
+            assert wf_single_moment(p, n, m + 1) <= e + 1e-13
 
 
 @pytest.mark.parametrize("B,S,b0", [(1.0, 1.0, 0.5), (0.5, 2.0, 0.3), (2.0, 0.5, 0.7)])
 def test_moment_recurrence_residuals(B, S, b0):
     p = mk(4, B=B, S=S, b=((b0, 1 - b0), (b0, 1 - b0)))
-    table = wf_mixed_moments(p, 22)
-    assert moment_recurrence_residuals(table, p) <= 1e-8
+    assert moment_recurrence_residuals(p, 22) <= 1e-8
 
 
 def test_moment_errors():
     with pytest.raises(ParamError, match="maxOrder must be positive"):
-        wf_mixed_moments(mk(3), 0)
+        moment_recurrence_residuals(mk(3), 0)
     degenerate = mk(3, b=((0.0, 1.0), (0.0, 1.0)))
     with pytest.raises(ParamError, match="not normalizable"):
-        wf_mixed_moments(degenerate, 3)
+        wf_single_moment(degenerate, 1, 2)
     with pytest.raises(ParamError, match="two-type kernel required"):
-        wf_mixed_moments(mk(3, d=3, chi=(0.0, 0.5, 1.0)), 3)
+        wf_single_moment(mk(3, d=3, chi=(0.0, 0.5, 1.0)), 1, 2)
     with pytest.raises(ParamError, match="parent-independent"):
-        wf_mixed_moments(mk(3, b=((0.7, 0.3), (0.2, 0.8))), 3)
+        wf_single_moment(mk(3, b=((0.7, 0.3), (0.2, 0.8))), 1, 2)
 
 
 def test_pn_converges_to_wf_moment():

@@ -8,8 +8,7 @@ import pytest
 import sympy as sp
 
 import moranlines.reduced as reduced
-from moranlines import (BudgetError, ParamError, wf_mixed_moments,
-                        wf_single_moment)
+from moranlines import BudgetError, ParamError, wf_single_moment
 from moranlines.reduced import (ABSORBED, CatChainSpec, DistChainSpec,
                                 Y_STATES, cat_chain_vs_bp, cat_equilibrium,
                                 cat_generator, chains_vs_bp, dist_chain_vs_bp,
@@ -322,27 +321,6 @@ def test_weighted_system_residuals_from_table():
         lemma_ode_residual(spec, table, n_cap=table.n_top)
 
 
-def test_remainder_values_recompute():
-    p = mk(4, B=1.0, b=PI, S=1.5)
-    spec = DistChainSpec.limit(p)
-    ts = (0.4, 1.1)
-    table = dist_survival(spec, ts, (0, 1, 2))
-    for t in ts:
-        for n in (0, 1, 2):
-            want = (2.0 * p.S * spec.weight("11", n) * table.f_value("11", n, t)
-                    + 2.0 * p.S * spec.weight("01", n) * table.f_value("01", n, t))
-            if n >= 1:
-                want += (2.0 * n * spec.weight("00", n - 1)
-                         * table.f_value("00", n - 1, t)
-                         + 2.0 * n * spec.weight("01", n - 1)
-                         * table.f_value("01", n - 1, t))
-            assert table.r_value(n, t) == pytest.approx(want, rel=1e-12)
-    with pytest.raises(ParamError, match="survival value outside table"):
-        table.r_value(5, ts[0])
-    with pytest.raises(ParamError, match="survival value outside table"):
-        table.f_value("00", 0, 0.123)
-
-
 def test_short_time_ordering_in_selection():
     ts = (0.02, 0.05)
     pf = {}
@@ -382,6 +360,13 @@ def test_reduced_interface_errors(monkeypatch):
     spec = DistChainSpec.limit(p)
     with pytest.raises(ParamError, match="nonnegative time required"):
         dist_survival(spec, (0.5, -0.1), (0,))
+    table = dist_survival(spec, (0.4, 1.1), (0, 1, 2))
+    with pytest.raises(ParamError, match="survival value outside table"):
+        table.f_value("00", 0, 0.123)
+    with pytest.raises(ParamError, match="survival value outside table"):
+        table.pf_value(5, 0.4)
+    with pytest.raises(ParamError, match="survival value outside table"):
+        table.f_value("10", 0, 0.4)
     with pytest.raises(ParamError, match="pinned count outside finite chain"):
         dist_survival(DistChainSpec.finite_n(p), (0.5,), (3,))
     monkeypatch.setattr(reduced, "DIST_N_CAP", 4)
@@ -402,9 +387,30 @@ def test_reduced_interface_errors(monkeypatch):
         CatChainSpec.finite_n(mk(3, b=((0.7, 0.3), (0.4, 0.6))))
 
 
-def test_moment_table_matches_single_moments():
+
+def test_truncation_start_below_one_refused():
+    # n_max = 0 once hung cat_equilibrium (0 doubles to 0) and let
+    # dist_survival "converge" on a 0-level ladder against itself
     p = mk(4, b=PI, S=1.0)
-    table = wf_mixed_moments(p, 6)
-    for (ones, zeros) in ((0, 2), (1, 1), (2, 0), (0, 3), (1, 2)):
-        assert table.moment(ones, zeros) == pytest.approx(
-            wf_single_moment(p, ones, zeros), rel=1e-10)
+    for n_max in (0, -3):
+        with pytest.raises(ParamError, match="n_max must be at least 1"):
+            cat_equilibrium(CatChainSpec.limit(p), n_max=n_max)
+        with pytest.raises(ParamError, match="n_max must be at least 1"):
+            dist_survival(DistChainSpec.limit(p), (2.0,), (0,), n_max=n_max)
+
+
+def test_limit_chain_levels_checked_before_building():
+    spec = DistChainSpec.limit(mk(4, b=PI, S=1.0))
+    with pytest.raises(ParamError, match="pinned count must be nonnegative"):
+        dist_survival(spec, (2.0,), (-1,))
+    with pytest.raises(ParamError, match="nonnegative time required"):
+        dist_survival(spec, (math.nan,), (0,))
+    # past its cap a ladder is refused before any level of that size is
+    # built: the ancestor-type chain's dense solve alone would take 2 GB
+    with pytest.raises(BudgetError, match="nMax cap"):
+        cat_equilibrium(CatChainSpec.limit(spec.p),
+                        n_max=reduced.CAT_N_CAP * 2)
+    with pytest.raises(BudgetError, match="nMax cap"):
+        dist_survival(spec, (2.0,), (reduced.DIST_N_CAP,))
+    with pytest.raises(BudgetError, match="nMax cap"):
+        dist_taylor_coeffs(spec, order=reduced.DIST_N_CAP)
