@@ -37,7 +37,7 @@ from . import __version__
 from .model import (BudgetError, ModelParams, ParamError, validate_params,
                     wf_single_moment)
 from .backward import canonical_start
-from .exact import duality_reports
+from .exact import _check_type_chain, duality_reports
 from .forward import (genealogical_distance, init_forest,
                       neutral_pair_distance_samples, pair_block_count,
                       pair_distance_samples, run_until)
@@ -241,6 +241,7 @@ def _start_law(cfg: ExperimentConfig):
 def _exp_duality(cfg: ExperimentConfig, out: str) -> list:
     p = cfg.model
     times = cfg.times or (0.5, 1.0)
+    _check_type_chain(p)  # before any N-site start state is built
     starts = [canonical_start(p, {0: u}) for u in range(p.d)]
     if p.N >= 2:
         starts += [canonical_start(p, {0: u, 1: v})

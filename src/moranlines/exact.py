@@ -12,7 +12,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,6 +41,7 @@ __all__ = [
 
 STATE_CAP = 200_000  # most configurations or backward states enumerated
 EXPM_TOL = 1e-11  # per-entry accuracy target of the uniformized semigroup
+EXPM_K_CAP = 100_000  # most Poisson terms (matrix-vector products) per call
 HARMONIC_TOL = 1e-8  # largest sup-norm of (Q + diag V) h taken as harmonic
 
 
@@ -51,18 +51,23 @@ class GeneratorMatrix:
 
     Rows sum to zero; fk_diagonal, when present, is the extra diagonal
     weight turning e^{tQ} into the weighted (non-conservative) semigroup.
-    The uniformization operator is built on first use and kept on the
-    instance, so every expm_apply call on one generator shares it.
+    The state index and the uniformization operator are built on first
+    use and kept on the instance, so every expm_apply call on one
+    generator shares the operator.
     """
 
     states: tuple
-    index: dict
     Q: sparse.csr_matrix
     fk_diagonal: np.ndarray | None = None
 
     @property
     def n(self) -> int:
         return len(self.states)
+
+    @functools.cached_property
+    def index(self) -> dict:
+        """state -> row number."""
+        return {s: k for k, s in enumerate(self.states)}
 
     @functools.cached_property
     def _uniformized(self) -> tuple:
@@ -84,8 +89,34 @@ class GeneratorMatrix:
         return self._uniformized[2].T.tocsr()
 
 
-def _assemble(n, entries):
-    """entries: dict (row, col) -> rate, off-diagonal only."""
+def _generator(starts, moves, weight=None) -> GeneratorMatrix:
+    """Generator on the states reachable from starts.
+
+    States are numbered breadth-first, the starts first in their order;
+    moves(s) lists (target, rate) pairs, and rates into one target add
+    up.  weight(s), when given, fills the Feynman-Kac diagonal.  Refused
+    once a state past STATE_CAP is reached.
+    """
+    index, states = {}, []
+
+    def number(s):
+        k = index.get(s)
+        if k is None:
+            if len(states) >= STATE_CAP:
+                raise BudgetError("exact solve infeasible")
+            k = index[s] = len(states)
+            states.append(s)
+        return k
+
+    for s in starts:
+        number(s)
+    entries = {}
+    # the loop also visits the states numbered during it: breadth-first
+    for r, s in enumerate(states):
+        for target, rate in moves(s):
+            key = (r, number(target))
+            entries[key] = entries.get(key, 0.0) + rate
+    n = len(states)
     rows, cols, vals = [], [], []
     diag = np.zeros(n)
     for (r, c), v in entries.items():
@@ -96,50 +127,44 @@ def _assemble(n, entries):
     rows.extend(range(n))
     cols.extend(range(n))
     vals.extend(diag)
-    return sparse.csr_matrix((vals, (rows, cols)), shape=(n, n))
+    Q = sparse.csr_matrix((vals, (rows, cols)), shape=(n, n))
+    fk = None if weight is None else np.array([weight(s) for s in states])
+    return GeneratorMatrix(states=tuple(states), Q=Q, fk_diagonal=fk)
 
 
 def _type_configs(p: ModelParams) -> tuple:
     """All d^N type configurations, refused above STATE_CAP up front."""
-    if p.d ** p.N > STATE_CAP:
-        raise BudgetError("exact solve infeasible")
+    _check_type_chain(p)
     return tuple(itertools.product(range(p.d), repeat=p.N))
+
+
+def _check_type_chain(p: ModelParams) -> None:
+    """Refuse a type chain of more than STATE_CAP configurations.  d >= 2,
+    so d^min(N, 64) exceeds the cap exactly when d^N does, and a huge N
+    never forms a huge integer."""
+    if p.d ** min(p.N, 64) > STATE_CAP:
+        raise BudgetError("exact solve infeasible")
 
 
 def build_type_generator(p: ModelParams) -> GeneratorMatrix:
     """Generator of the full type-configuration chain on K^I.
 
     Mutation rewrites one site's type; resampling copies the type of one
-    site onto another at the selection-tilted pair rate.
+    site onto another at the selection-tilted pair rate.  States keep the
+    product order of the configurations.
     """
     validate_params(p)
-    configs = _type_configs(p)
-    n = len(configs)
-    index = {c: k for k, c in enumerate(configs)}
-    entries = {}
-
-    def add(r, cfg, rate):
-        if rate <= 0.0:
-            return
-        c = index[cfg]
-        if c == r:
-            return
-        entries[(r, c)] = entries.get((r, c), 0.0) + rate
-
     sel = p.S / (2.0 * p.N)
-    for r, cfg in enumerate(configs):
-        for i in range(p.N):
-            for u in range(p.d):
-                if u != cfg[i]:
-                    add(r, cfg[:i] + (u,) + cfg[i + 1:], p.B * p.b[cfg[i]][u])
-        for i in range(p.N):
-            for j in range(p.N):
-                if cfg[j] == cfg[i]:
-                    continue
-                rate = 0.5 + sel * (p.chi[cfg[i]] - p.chi[cfg[j]])
-                add(r, cfg[:j] + (cfg[i],) + cfg[j + 1:], rate)
 
-    return GeneratorMatrix(states=configs, index=index, Q=_assemble(n, entries))
+    def moves(cfg):
+        out = [(cfg[:i] + (u,) + cfg[i + 1:], p.B * p.b[cfg[i]][u])
+               for i in range(p.N) for u in range(p.d) if u != cfg[i]]
+        out += [(cfg[:j] + (cfg[i],) + cfg[j + 1:],
+                 0.5 + sel * (p.chi[cfg[i]] - p.chi[cfg[j]]))
+                for i in range(p.N) for j in range(p.N) if cfg[j] != cfg[i]]
+        return [m for m in out if m[1] > 0.0]
+
+    return _generator(_type_configs(p), moves)
 
 
 def build_bp_generator(p: ModelParams, starts) -> GeneratorMatrix:
@@ -148,30 +173,12 @@ def build_bp_generator(p: ModelParams, starts) -> GeneratorMatrix:
     validate_params(p)
     if isinstance(starts, BpState):
         starts = [starts]
-    index = {}
-    states = []
-    queue = deque()
-    for s in starts:
-        if s not in index:
-            index[s] = len(states)
-            states.append(s)
-            queue.append(s)
-    entries = {}
-    while queue:
-        s = queue.popleft()
-        r = index[s]
-        for tr in enumerate_transitions(s, p):
-            c = index.get(tr.target)
-            if c is None:
-                if len(states) >= STATE_CAP:
-                    raise BudgetError("exact solve infeasible")
-                c = index[tr.target] = len(states)
-                states.append(tr.target)
-                queue.append(tr.target)
-            entries[(r, c)] = entries.get((r, c), 0.0) + tr.rate
-    fk = np.array([feynman_kac_V(s, p) for s in states])
-    return GeneratorMatrix(states=tuple(states), index=index,
-                           Q=_assemble(len(states), entries), fk_diagonal=fk)
+    # both functions are looked up when called, so a rebound module
+    # attribute takes effect
+    return _generator(
+        starts,
+        lambda s: [(tr.target, tr.rate) for tr in enumerate_transitions(s, p)],
+        lambda s: feynman_kac_V(s, p))
 
 
 def expm_apply(gen: GeneratorMatrix, v, t: float,
@@ -181,9 +188,10 @@ def expm_apply(gen: GeneratorMatrix, v, t: float,
 
     The weighted semigroup is shifted by c = max V so that the jump matrix
     stays substochastic; the Poisson series is truncated once the tail
-    bound drops below EXPM_TOL per entry.  The jump matrix comes from the
-    generator (built once); the truncation and weights depend on t and v
-    and are computed per call.
+    bound drops below EXPM_TOL per entry, and refused when that takes
+    more than EXPM_K_CAP terms.  The jump matrix comes from the generator
+    (built once); the truncation and weights depend on t and v and are
+    computed per call.
     """
     if t < 0:
         raise ParamError("nonnegative time required")
@@ -204,10 +212,13 @@ def expm_apply(gen: GeneratorMatrix, v, t: float,
     # tol_eff; poisson.isf would be the obvious choice but returns NaN for
     # quantiles under ~1e-16, which the exp(c t) scaling reaches routinely
     logq = math.log(tol_eff)
-    K = int(mu) + 1
-    while -mu + K * (1.0 + math.log(mu / K)) > logq:
+    # the search stops past the cap, so an infinite mu is never converted
+    K = int(min(mu, EXPM_K_CAP)) + 1
+    while K <= EXPM_K_CAP and -mu + K * (1.0 + math.log(mu / K)) > logq:
         K += max(2, K // 8)
     K += 2
+    if K > EXPM_K_CAP:
+        raise BudgetError("Poisson truncation above its cap; shorten the time")
     weights = poisson.pmf(np.arange(K + 1), mu)
     acc = weights[0] * v
     w = v
@@ -246,16 +257,14 @@ def config_law_vector(p: ModelParams, mu, configs) -> np.ndarray:
     """Normalize a type-configuration law to a vector over configs.
 
     Accepts a per-site marginal (product law, length-d array), an explicit
-    vector over configs, a dict config -> probability, an exchangeable
-    stationary law object, or a callable.
+    vector over configs, a dict config -> probability, or an exchangeable
+    stationary law object.
     """
     n = len(configs)
     if isinstance(mu, StationaryTypeLaw):
         vec = np.array([mu.config_probability(c) for c in configs])
     elif isinstance(mu, dict):
         vec = np.array([float(mu.get(c, 0.0)) for c in configs])
-    elif callable(mu):
-        vec = np.array([float(mu(c)) for c in configs])
     else:
         arr = np.asarray(mu, dtype=float)
         if arr.shape == (p.d,):

@@ -36,7 +36,7 @@ LOG_SCALE_THRESHOLD = 200
 
 # largest dense generator, in bytes, that the count-chain solve may allocate
 DENSE_SOLVE_BYTES = 256 * 2**20
-COUNT_STATE_CAP = 100_000  # most count vectors the d > 2 solve accepts
+COUNT_STATE_CAP = 100_000  # most count vectors the stationary law accepts
 
 
 class ParamError(ValueError):
@@ -179,13 +179,17 @@ def finite_stationary_law(p: ModelParams) -> StationaryTypeLaw:
         up(k)   = (N-k) B b(0,1) + k (N-k) (1/2 + S/2N)
         down(k) = k B b(1,0)     + k (N-k) (1/2 - S/2N)
     solved in product form.  d > 2 solves the count-vector chain as a
-    linear system, refusing above COUNT_STATE_CAP states or when its dense
-    generator would exceed DENSE_SOLVE_BYTES.
+    linear system, refusing when its dense generator would exceed
+    DENSE_SOLVE_BYTES.  Either is refused above COUNT_STATE_CAP count
+    vectors.
     """
     validate_params(p)
     if p.B <= 0 or not _irreducible(p.b):
         raise ParamError("no unique stationary law")
     N, d = p.N, p.d
+    n_states = math.comb(N + d - 1, d - 1)
+    if n_states > COUNT_STATE_CAP:
+        raise BudgetError("exact solve infeasible")
 
     if d == 2:
         ks = np.arange(N + 1, dtype=float)
@@ -206,8 +210,7 @@ def finite_stationary_law(p: ModelParams) -> StationaryTypeLaw:
         counts = tuple((N - k, k) for k in range(N + 1))
         return StationaryTypeLaw(N=N, d=2, counts=counts, weights=w, log_weights=log_w)
 
-    n_states = math.comb(N + d - 1, d - 1)
-    if n_states > COUNT_STATE_CAP or 8 * n_states**2 > DENSE_SOLVE_BYTES:
+    if 8 * n_states**2 > DENSE_SOLVE_BYTES:
         raise BudgetError("exact solve infeasible")
     counts = tuple(_compositions(N, d))
     index = {c: i for i, c in enumerate(counts)}

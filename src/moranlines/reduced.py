@@ -23,12 +23,13 @@ import numpy as np
 from scipy import sparse
 from scipy.integrate import solve_ivp
 
-from .model import (BudgetError, ModelParams, ParamError, StationaryTypeLaw,
-                    finite_stationary_law, pn_probability, stationary_vector,
-                    two_type_mutation_rates, validate_params, wf_single_moment)
+from .model import (DENSE_SOLVE_BYTES, BudgetError, ModelParams, ParamError,
+                    StationaryTypeLaw, finite_stationary_law, pn_probability,
+                    stationary_vector, two_type_mutation_rates,
+                    validate_params, wf_single_moment)
 from .backward import canonical_start
-from .exact import (GeneratorMatrix, _assemble, build_bp_generator, compute_h,
-                    expm_apply)
+from .exact import (GeneratorMatrix, _check_type_chain, _generator,
+                    build_bp_generator, compute_h, expm_apply)
 
 __all__ = [
     "ABSORBED",
@@ -186,17 +187,6 @@ def _dist_rates(spec: DistChainSpec, y: str, n: int, n_top: int) -> list:
     return [(tgt, r) for (tgt, r) in out if r > 0.0]
 
 
-def _chain_generator(states, rate_fn) -> GeneratorMatrix:
-    index = {s: k for k, s in enumerate(states)}
-    entries = {}
-    for r, s in enumerate(states):
-        for tgt, rate in rate_fn(s):
-            key = (r, index[tgt])
-            entries[key] = entries.get(key, 0.0) + rate
-    return GeneratorMatrix(states=tuple(states), index=index,
-                           Q=_assemble(len(states), entries))
-
-
 def cat_generator(spec: CatChainSpec, n_top: int | None = None) -> GeneratorMatrix:
     """Generator over (u, n); finite mode tops out at n = N-1."""
     if spec.mode == "finite":
@@ -204,11 +194,7 @@ def cat_generator(spec: CatChainSpec, n_top: int | None = None) -> GeneratorMatr
     elif n_top is None:
         raise ParamError("limit mode needs an explicit truncation level")
     states = [(u, n) for u in (0, 1) for n in range(n_top + 1)]
-
-    def rate_fn(s):
-        return _cat_rates(spec, s[0], s[1], n_top)
-
-    return _chain_generator(states, rate_fn)
+    return _generator(states, lambda s: _cat_rates(spec, *s, n_top))
 
 
 def dist_generator(spec: DistChainSpec, n_top: int | None = None,
@@ -224,19 +210,12 @@ def dist_generator(spec: DistChainSpec, n_top: int | None = None,
     elif n_top is None:
         raise ParamError("limit mode needs an explicit truncation level")
     states = [(y, n) for y in Y_STATES for n in range(n_top + 1)]
-
-    def rate_fn(s):
-        if s == ABSORBED:
-            return []
-        return _dist_rates(spec, s[0], s[1], n_top)
-
-    gen = _chain_generator(states + [ABSORBED], rate_fn)
+    gen = _generator(states + [ABSORBED], lambda s: (
+        [] if s == ABSORBED else _dist_rates(spec, *s, n_top)))
     if with_absorbed:
         return gen
     n = len(states)
-    return GeneratorMatrix(states=tuple(states),
-                           index={s: k for k, s in enumerate(states)},
-                           Q=gen.Q[:n, :n])
+    return GeneratorMatrix(states=tuple(states), Q=gen.Q[:n, :n])
 
 
 @dataclass(frozen=True)
@@ -250,13 +229,16 @@ class CatEquilibrium:
 def cat_equilibrium(spec: CatChainSpec, n_max: int = 32) -> CatEquilibrium:
     """Stationary law of the ancestor-type chain and its mark marginal.
 
-    Limit mode truncates at n_max and doubles until the mass at the
-    truncation boundary drops below CAT_TAIL_TOL, failing with a budget
-    error past CAT_N_CAP.
+    Finite mode solves the 2N-state chain densely, refused when that
+    takes more than DENSE_SOLVE_BYTES.  Limit mode truncates at n_max and
+    doubles until the mass at the truncation boundary drops below
+    CAT_TAIL_TOL, failing with a budget error past CAT_N_CAP.
     """
     if n_max < 1:
         raise ParamError("n_max must be at least 1")
     if spec.mode == "finite":
+        if 8 * (2 * spec.p.N) ** 2 > DENSE_SOLVE_BYTES:
+            raise BudgetError("finite ancestor-type chain over the dense budget")
         gen = cat_generator(spec)
         pi = stationary_vector(gen.Q.toarray())
         n_top = spec.p.N - 1
@@ -291,7 +273,7 @@ def _transformed_generator(p: ModelParams, starts, law) -> GeneratorMatrix:
     scaled = scaled.tocsr()
     diag = -np.asarray(scaled.sum(axis=1)).ravel()
     Qh = (scaled + sparse.diags(diag)).tocsr()
-    return GeneratorMatrix(states=gen.states, index=gen.index, Q=Qh)
+    return GeneratorMatrix(states=gen.states, Q=Qh)
 
 
 def _pinned_count(s) -> int:
@@ -351,6 +333,7 @@ def chains_vs_bp(p: ModelParams, times, chains=("cat", "dist")) -> list:
     validate_params(p)
     if "dist" in chains and p.N < 3:
         raise ParamError("population of at least three required")
+    _check_type_chain(p)  # before the law and the reduced chains are built
     law = finite_stationary_law(p)
     setups = []
     for name in chains:

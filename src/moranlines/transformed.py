@@ -68,7 +68,8 @@ class HTTable:
         if not 0 < T < np.inf:
             raise ParamError("positive horizon required")
         n = max(int(np.ceil(T / HT_STEP)), 1)
-        if 8 * (n + 1) * p.d ** p.N > DENSE_SOLVE_BYTES:
+        # d^min(N, 64) exceeds the budget whenever d^N does, and stays small
+        if 8 * (n + 1) * p.d ** min(p.N, 64) > DENSE_SOLVE_BYTES:
             raise BudgetError("exact solve infeasible")
         type_gen = build_type_generator(p)
         self.p = p

@@ -444,6 +444,43 @@ def test_experiment_validation_failures_exit_2(tmp_path, capsys, label,
     assert not (out / "manifest.csv").exists()
 
 
+def _huge(payload):
+    return {**payload, "model": {**payload["model"], "N": 10**12}}
+
+
+# a population of 10^12 would take terabytes (d^N configurations, N-site
+# start states, an N + 1 law vector); each refusal comes before any of it
+RUN_BUDGET_CASES = [
+    ("huge_time", "duality-sweep", {**DUALITY_CFG, "times": [0.5, 1e300]},
+     "Poisson truncation above its cap"),
+    ("huge_N_duality", "duality-sweep", _huge(DUALITY_CFG),
+     "exact solve infeasible"),
+    ("huge_N_conditioned", "conditioned-distance", _huge(CONDITIONED_CFG),
+     "exact solve infeasible"),
+    ("huge_N_cross_check", "cross-check", _huge(CROSS_CFG),
+     "exact solve infeasible"),
+    ("huge_N_cat", "cat-equilibrium", _huge(CAT_CFG),
+     "exact solve infeasible"),
+    # 2N = 5,794 states: a 268.6 MB dense matrix, just over 256 MiB
+    ("dense_cat", "cat-equilibrium",
+     {**CAT_CFG, "model": {**CAT_CFG["model"], "N": 2897}}, "dense budget"),
+]
+
+
+@pytest.mark.parametrize("label,experiment,payload,fragment",
+                         RUN_BUDGET_CASES, ids=[c[0] for c in RUN_BUDGET_CASES])
+def test_experiment_budget_refusals_exit_3(tmp_path, capsys, label,
+                                           experiment, payload, fragment):
+    cfg = write_cfg(tmp_path / "cfg.json", payload)
+    out = tmp_path / "out"
+    rc = main([experiment, "--config", cfg, "--out", str(out)])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert err.startswith("budget exceeded:")
+    assert fragment in err
+    assert not (out / "manifest.csv").exists()
+
+
 def test_emit_plotdata_rejects_empty(tmp_path):
     with pytest.raises(ParamError, match="no plot points"):
         emit_plotdata(str(tmp_path / "plotdata.csv"), [])

@@ -132,8 +132,7 @@ def test_every_configuration_enumeration_is_capped():
     # must come before any configuration is listed
     p = mk(12, d=3)
     s = canonical_start(p, {0: 0})
-    stand_in = GeneratorMatrix(states=(s,), index={s: 0},
-                               Q=sparse.csr_matrix((1, 1)),
+    stand_in = GeneratorMatrix(states=(s,), Q=sparse.csr_matrix((1, 1)),
                                fk_diagonal=np.zeros(1))
     with pytest.raises(BudgetError, match="exact solve infeasible"):
         compute_h(p, stand_in)
@@ -141,12 +140,36 @@ def test_every_configuration_enumeration_is_capped():
         sample_config(p, {(0,) * 12: 1.0}, philox(5, 0))
 
 
+def test_huge_population_refused_without_forming_d_to_the_N():
+    # 2^(10^12) alone would be 125 GB; the cap compares d^min(N, 64)
+    huge = mk(10**12)
+    with pytest.raises(BudgetError, match="exact solve infeasible"):
+        exact._type_configs(huge)
+    with pytest.raises(BudgetError, match="exact solve infeasible"):
+        exact._check_type_chain(huge)
+    exact._check_type_chain(mk(17))  # 131,072 configurations fit
+    with pytest.raises(BudgetError, match="exact solve infeasible"):
+        exact._check_type_chain(mk(18))
+
+
 # ------------------------------------------------------------------ semigroup
+
+def test_expm_poisson_truncation_capped(monkeypatch):
+    Q = sparse.csr_matrix(np.array([[-0.7, 0.7], [0.3, -0.3]]))
+    gen = GeneratorMatrix(states=("x", "y"), Q=Q)
+    for t in (1e6, 1e300, 1e308):  # the last makes lam * t infinite
+        with pytest.raises(BudgetError, match="Poisson truncation"):
+            expm_apply(gen, (1.0, 0.0), t)
+    # the refusal comes before the weights are formed
+    monkeypatch.setattr(exact.np, "arange", None)
+    with pytest.raises(BudgetError, match="Poisson truncation"):
+        expm_apply(gen, (1.0, 0.0), 1e6)
+
 
 def test_expm_two_state_analytic():
     a, c = 0.7, 0.3
     Q = sparse.csr_matrix(np.array([[-a, a], [c, -c]]))
-    gen = GeneratorMatrix(states=("x", "y"), index={"x": 0, "y": 1}, Q=Q)
+    gen = GeneratorMatrix(states=("x", "y"), Q=Q)
     pi0, pi1 = c / (a + c), a / (a + c)
     for t in (0.3, 1.0, 4.0):
         decay = math.exp(-(a + c) * t)
@@ -329,8 +352,6 @@ def test_config_law_vector_shapes_and_errors():
     assert prod == pytest.approx([0.09, 0.21, 0.21, 0.49])
     asdict = config_law_vector(p, {(0, 1): 1.0}, configs)
     assert asdict == pytest.approx([0.0, 1.0, 0.0, 0.0])
-    ascall = config_law_vector(p, lambda c: 0.25, configs)
-    assert ascall == pytest.approx([0.25] * 4)
     with pytest.raises(ParamError, match="unrecognized type-law shape"):
         config_law_vector(p, np.ones(3) / 3.0, configs)
     with pytest.raises(ParamError, match="sum to 1"):
@@ -340,8 +361,7 @@ def test_config_law_vector_shapes_and_errors():
     # NaN compares false with every bound, so it needs its own check
     for bad in ((float("nan"), 1.0), np.array([0.5, float("nan"), 0.5, 0.0]),
                 {(0, 0): float("nan"), (1, 1): 1.0},
-                {(0, 0): float("inf"), (1, 1): 1.0},
-                lambda c: float("nan")):
+                {(0, 0): float("inf"), (1, 1): 1.0}):
         with pytest.raises(ParamError, match="type law must be finite"):
             config_law_vector(p, bad, configs)
 
@@ -425,7 +445,7 @@ def test_equilibrium_weight_errors():
     gen = build_bp_generator(p, start)
     with pytest.raises(ParamError, match="positivity assumption violated"):
         compute_h(p, gen, law={(0, 0, 0): 1.0})
-    bare = GeneratorMatrix(states=gen.states, index=gen.index, Q=gen.Q)
+    bare = GeneratorMatrix(states=gen.states, Q=gen.Q)
     with pytest.raises(ParamError, match="weighted backward generator"):
         compute_h(p, bare)
     with pytest.raises(ParamError, match="weighted backward generator"):

@@ -140,6 +140,19 @@ def test_law_budget_refusal(monkeypatch):
         finite_stationary_law(p)
 
 
+def test_two_type_law_count_cap(monkeypatch):
+    # at d = 2 the count vectors are N + 1 floats; N = 10^12 would ask for
+    # 8 TB, so the refusal must come before any array is formed
+    def no_arange(*args, **kwargs):
+        raise AssertionError("law vector formed before the budget check")
+
+    monkeypatch.setattr(np, "arange", no_arange)
+    with pytest.raises(BudgetError, match="exact solve infeasible"):
+        finite_stationary_law(mk(10**12))
+    with pytest.raises(BudgetError, match="exact solve infeasible"):
+        finite_stationary_law(mk(model.COUNT_STATE_CAP))
+
+
 def test_law_budget_refused_before_listing(monkeypatch):
     # d = 5, N = 400: about 1.1e9 count vectors, which would exhaust memory
     # if listed, so the refusal must come before the first is generated

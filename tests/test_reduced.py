@@ -388,6 +388,22 @@ def test_reduced_interface_errors(monkeypatch):
 
 
 
+def test_finite_cat_chain_dense_budget(monkeypatch):
+    # the dense solve of the 2N-state chain takes 8 (2N)^2 bytes; with the
+    # budget set to N = 5's, N = 6 is refused before its chain is built
+    monkeypatch.setattr(reduced, "DENSE_SOLVE_BYTES", 8 * 10 ** 2)
+    eq = cat_equilibrium(CatChainSpec.finite_n(mk(5, b=PI, S=1.0)))
+    assert len(eq.states) == 10
+    spec = CatChainSpec.finite_n(mk(6, b=PI, S=1.0))
+
+    def no_build(*args, **kwargs):
+        raise AssertionError("chain built before the budget check")
+
+    monkeypatch.setattr(reduced, "cat_generator", no_build)
+    with pytest.raises(BudgetError, match="dense budget"):
+        cat_equilibrium(spec)
+
+
 def test_truncation_start_below_one_refused():
     # n_max = 0 once hung cat_equilibrium (0 doubles to 0) and let
     # dist_survival "converge" on a 0-level ladder against itself

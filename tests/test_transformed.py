@@ -109,6 +109,37 @@ def test_table_byte_budget_refuses_before_allocating(monkeypatch):
         HTTable(mk(10), (0.5, 0.5), 1000.0)
 
 
+def test_state_tables_match_rates_and_dominate():
+    # the thinning sampler reads _StateTables, not transformed_rates: its
+    # total-rate series must agree with the summed conditioned rates, and
+    # its suffix maximum must bound the total rate on the rest of the span
+    p = mk(3, S=1.0, b=((0.7, 0.3), (0.2, 0.8)))
+    T = 0.5
+    kernel = make_inhomogeneous_kernel(p, (0.15, 0.85), T)
+    ht = kernel.ht
+    gen = build_bp_generator(p, [canonical_start(p, {0: 0, 1: 1}),
+                                 canonical_start(p, {0: 1, 1: 1})])
+    rng = philox(31, 0)
+    picks = rng.choice(gen.n, size=8, replace=False)
+    for state in (gen.states[i] for i in picks):
+        tab = transformed._StateTables(state, kernel)
+
+        def total(t):
+            return np.interp(t, ht.grid, tab.num) / np.interp(t, ht.grid,
+                                                              tab.den)
+
+        for t in rng.uniform(0.0, T, size=6):
+            want = sum(tr.rate for tr in transformed_rates(kernel, state, t))
+            assert total(t) == pytest.approx(want, rel=1e-12)
+        # every knot, every midpoint and seeded interior times
+        probes = np.concatenate([ht.grid, (ht.grid[1:] + ht.grid[:-1]) / 2,
+                                 rng.uniform(0.0, T, size=200)])
+        lam = np.array([total(t) for t in probes])
+        for k in range(len(ht.grid)):
+            ahead = lam[probes >= ht.grid[k]]
+            assert tab.suffix_max[k] >= ahead.max() * (1.0 - 1e-12)
+
+
 def test_conditioned_coalescence_rate_formula():
     p = mk(2, B=0.0)
     nu0, T = 0.3, 2.0
