@@ -52,6 +52,7 @@ __all__ = ["ExperimentConfig", "RunManifest", "load_config", "run_experiment",
 EXPERIMENTS = ("duality-sweep", "forward-distance", "conditioned-distance",
                "cat-equilibrium", "survival-table", "taylor-report",
                "cross-check")
+REPLICATE_CAP = 1_000_000  # most replicates one run may ask for
 
 
 @dataclass(frozen=True)
@@ -132,6 +133,8 @@ def _resolve(raw, experiment, seed, out, workers) -> ExperimentConfig:
     replicates = int(raw.get("replicates", 1))
     if replicates < 1:
         raise ParamError("replicate count must be at least 1")
+    if replicates > REPLICATE_CAP:
+        raise BudgetError("replicate count above its cap")
     cfg_seed = int(seed if seed is not None else raw.get("seed", 0))
     if not 0 <= cfg_seed < 2**64:
         raise ParamError("seed must be an integer in [0, 2**64)")

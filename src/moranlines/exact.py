@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
-from scipy.stats import poisson
+from scipy.special import gammaln, xlogy
 
 from .model import (BudgetError, ModelParams, ParamError, StationaryTypeLaw,
                     finite_stationary_law, validate_params)
@@ -43,6 +43,18 @@ STATE_CAP = 200_000  # most configurations or backward states enumerated
 EXPM_TOL = 1e-11  # per-entry accuracy target of the uniformized semigroup
 EXPM_K_CAP = 100_000  # most Poisson terms (matrix-vector products) per call
 HARMONIC_TOL = 1e-8  # largest sup-norm of (Q + diag V) h taken as harmonic
+
+
+class _Poisson:
+    """Poisson probabilities by the log-pmf formula of scipy.stats.poisson,
+    which they match bit for bit, without importing scipy.stats."""
+
+    @staticmethod
+    def pmf(k, mu):
+        return np.exp(xlogy(k, mu) - gammaln(k + 1) - mu)
+
+
+poisson = _Poisson()
 
 
 @dataclass(frozen=True)

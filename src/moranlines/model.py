@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import integrate
 from scipy.special import gammaln, logsumexp
 
 __all__ = [
@@ -315,6 +314,7 @@ def _log_raw_moment(a0: float, a1: float, two_s: float, n: int, m: int) -> float
         return 2.0 * math.exp(pow_sin * math.log(s) + pow_cos * math.log(c)
                               + two_s * s * s - peak)
 
+    from scipy import integrate  # loaded on first use: slow to import
     val, _ = integrate.quad(f, 0.0, math.pi / 2.0,
                             epsabs=1e-14, epsrel=1e-11, limit=400, points=pts)
     return math.log(val) + peak

@@ -21,7 +21,6 @@ from typing import ClassVar
 
 import numpy as np
 from scipy import sparse
-from scipy.integrate import solve_ivp
 
 from .model import (DENSE_SOLVE_BYTES, BudgetError, ModelParams, ParamError,
                     StationaryTypeLaw, finite_stationary_law, pn_probability,
@@ -411,6 +410,13 @@ class SurvivalTable:
         w = self.spec.weight
         return float(w("00", n) * f00 + w("11", n) * f11
                      + 2.0 * w("01", n) * f01)
+
+
+def solve_ivp(*args, **kwargs):
+    """scipy.integrate.solve_ivp, with scipy.integrate loaded on first use
+    because it is slow to import."""
+    from scipy import integrate
+    return integrate.solve_ivp(*args, **kwargs)
 
 
 def _survive_solve(spec: DistChainSpec, ts, n_top: int) -> tuple:

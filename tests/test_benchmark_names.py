@@ -12,6 +12,11 @@ import importlib
 import inspect
 import pathlib
 
+import numpy as np
+import scipy.sparse as sparse
+
+from moranlines import exact, reduced
+
 TRACER = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
 
@@ -47,3 +52,33 @@ def test_tracer_argument_positions():
         params = list(inspect.signature(fn).parameters)
         for k, want in positions.items():
             assert params[k] == want, f"{mod}.{name} argument {k}"
+
+
+def test_tracer_proxy_call_contract(monkeypatch):
+    # the tracer reads K as len(k) - 1 from the arguments of
+    # exact.poisson.pmf, and the counts nfev/njev/nlu from the result of
+    # reduced.solve_ivp
+    calls = []
+    real = exact.poisson
+
+    class Recorder:
+        def pmf(self, k, mu):
+            calls.append(np.array(k))
+            return real.pmf(k, mu)
+
+    monkeypatch.setattr(exact, "poisson", Recorder())
+    Q = sparse.csr_matrix(np.array([[-0.7, 0.7], [0.3, -0.3]]))
+    gen = exact.GeneratorMatrix(states=("x", "y"), Q=Q)
+    exact.expm_apply(gen, (1.0, 0.0), 2.0)
+    assert len(calls) == 1
+    k = calls[0]
+    K = len(k) - 1
+    assert 0 < K <= exact.EXPM_K_CAP
+    assert np.array_equal(k, np.arange(K + 1))
+
+    sol = reduced.solve_ivp(lambda _t, f: -f, (0.0, 1.0), [1.0],
+                            method="Radau", jac=[[-1.0]])
+    assert sol.success
+    for name in ("nfev", "njev", "nlu"):
+        assert getattr(sol, name) >= 0, name
+    assert sol.nfev > 0

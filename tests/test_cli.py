@@ -11,7 +11,7 @@ import json
 import numpy as np
 import pytest
 
-from moranlines import ParamError, cli
+from moranlines import BudgetError, ParamError, cli
 from moranlines.cli import (config_hash, emit_plotdata, load_config, main,
                             resolve_config)
 from moranlines.forward import BLOCK_REPS
@@ -464,6 +464,11 @@ RUN_BUDGET_CASES = [
     # 2N = 5,794 states: a 268.6 MB dense matrix, just over 256 MiB
     ("dense_cat", "cat-equilibrium",
      {**CAT_CFG, "model": {**CAT_CFG["model"], "N": 2897}}, "dense budget"),
+    ("huge_reps_neutral", "forward-distance",
+     {**NEUTRAL_CFG, "replicates": 10**12}, "replicate count above its cap"),
+    ("huge_reps_conditioned", "conditioned-distance",
+     {**CONDITIONED_CFG, "replicates": 10**12},
+     "replicate count above its cap"),
 ]
 
 
@@ -479,6 +484,17 @@ def test_experiment_budget_refusals_exit_3(tmp_path, capsys, label,
     assert err.startswith("budget exceeded:")
     assert fragment in err
     assert not (out / "manifest.csv").exists()
+
+
+def test_replicate_cap_is_inclusive():
+    cap = cli.REPLICATE_CAP
+    assert cap >= 50 * 20_000  # wide headroom above the largest runs
+    cfg = resolve_config({**FORWARD_CFG, "replicates": cap},
+                         "forward-distance")
+    assert cfg.replicates == cap
+    with pytest.raises(BudgetError, match="replicate count above its cap"):
+        resolve_config({**FORWARD_CFG, "replicates": cap + 1},
+                       "forward-distance")
 
 
 def test_emit_plotdata_rejects_empty(tmp_path):

@@ -166,6 +166,19 @@ def test_expm_poisson_truncation_capped(monkeypatch):
         expm_apply(gen, (1.0, 0.0), 1e6)
 
 
+def test_poisson_weights_match_scipy_stats_bit_for_bit():
+    from scipy.stats import poisson as reference
+    rng = philox(31, 0)
+    for _ in range(1200):
+        mu = float(10.0 ** rng.uniform(-6.0, 3.5))  # 1e-6 to about 3,200
+        # past the mode by up to ten standard deviations and a margin
+        K = int(mu + rng.uniform(0.0, 10.0) * math.sqrt(mu)) + int(
+            rng.integers(1, 40))
+        k = np.arange(K + 1)
+        assert np.array_equal(exact.poisson.pmf(k, mu),
+                              reference.pmf(k, mu)), (K, mu)
+
+
 def test_expm_two_state_analytic():
     a, c = 0.7, 0.3
     Q = sparse.csr_matrix(np.array([[-a, a], [c, -c]]))
