@@ -36,6 +36,7 @@ LOG_SCALE_THRESHOLD = 200
 # largest dense generator, in bytes, that the count-chain solve may allocate
 DENSE_SOLVE_BYTES = 256 * 2**20
 COUNT_STATE_CAP = 100_000  # most count vectors the stationary law accepts
+MOMENT_TERM_CAP = 2**20  # most terms of one equilibrium-moment series
 
 
 class ParamError(ValueError):
@@ -282,42 +283,36 @@ def pn_probability(law: StationaryTypeLaw, n: int, m: int) -> float:
     return float(np.exp(logsumexp(log_terms)))
 
 
+def _log_kummer(alpha: float, beta: float, x: float) -> float:
+    # log M(alpha, beta, x) for 0 < alpha < beta and x >= 0 (DLMF 13.2.2).
+    # Every term is positive.  The ratios r_k = t_{k+1} / t_k fall below 1
+    # for good past the last k with r_k >= 1, so the term after it is taken
+    # as the scale; the terms within a window of it are summed relative to
+    # it by products walked outward, and those beyond it are negligible.
+    window = int(40.0 * math.sqrt(x)) + 60
+    n_terms = int(x) + 2 + window
+    if n_terms > MOMENT_TERM_CAP:
+        raise BudgetError("moment series above its term cap")
+    k = np.arange(n_terms, dtype=float)
+    r = (alpha + k) / (beta + k) * x / (k + 1.0)
+    above = np.flatnonzero(r >= 1.0)
+    j = int(above[-1]) + 1 if above.size else 0
+    up = np.cumprod(r[j:j + window]).sum()
+    down = np.cumprod(1.0 / r[max(j - window, 0):j][::-1]).sum()
+    return float(np.log(r[:j]).sum()) + math.log1p(up + down)
+
+
 @functools.lru_cache(maxsize=None)
 def _log_raw_moment(a0: float, a1: float, two_s: float, n: int, m: int) -> float:
-    # log of the unnormalized moment of z^n (1-z)^m against
-    # z^{a1-1}(1-z)^{a0-1}e^{2Sz}, integrated after z = sin^2(theta) to tame
-    # the boundary singularities.  When both sine and cosine powers are
-    # positive the log-integrand has an interior peak, which is subtracted
-    # before exponentiating; large mutation shapes otherwise underflow the
-    # direct integrand to zero.
-    pow_sin = 2 * n + 2 * a1 - 1
-    pow_cos = 2 * m + 2 * a0 - 1
-
-    peak = 0.0
-    pts = None
-    if pow_sin > 0.0 and pow_cos > 0.0:
-        if two_s == 0.0:
-            z_star = pow_sin / (pow_sin + pow_cos)
-        else:
-            beta = pow_sin + pow_cos - 2.0 * two_s
-            z_star = (-beta + math.sqrt(beta * beta
-                                        + 8.0 * two_s * pow_sin)) / (4.0 * two_s)
-        peak = (0.5 * pow_sin * math.log(z_star)
-                + 0.5 * pow_cos * math.log1p(-z_star) + two_s * z_star)
-        pts = (math.asin(math.sqrt(z_star)),)
-
-    def f(theta):
-        s = math.sin(theta)
-        c = math.cos(theta)
-        if s <= 0.0 or c <= 0.0:
-            return 0.0
-        return 2.0 * math.exp(pow_sin * math.log(s) + pow_cos * math.log(c)
-                              + two_s * s * s - peak)
-
-    from scipy import integrate  # loaded on first use: slow to import
-    val, _ = integrate.quad(f, 0.0, math.pi / 2.0,
-                            epsabs=1e-14, epsrel=1e-11, limit=400, points=pts)
-    return math.log(val) + peak
+    # log of (a1)_n (a0)_m / (a)_{n+m} M(a1+n, a+n+m, 2S) with a = a0 + a1:
+    # the moment integral of z^n (1-z)^m over the Beta normalizer
+    # B(a1, a0) (DLMF 13.4.1).  The Pochhammer ratio is summed as logs of
+    # factor ratios, so large shapes lose nothing to cancellation.
+    a = a0 + a1
+    i, j = np.arange(n, dtype=float), np.arange(m, dtype=float)
+    log_ratio = (np.log((a1 + i) / (a + i)).sum()
+                 + np.log((a0 + j) / (a + n + j)).sum())
+    return float(log_ratio) + _log_kummer(a1 + n, a + n + m, two_s)
 
 
 def wf_single_moment(p: ModelParams, n: int, m: int) -> float:
@@ -325,10 +320,12 @@ def wf_single_moment(p: ModelParams, n: int, m: int) -> float:
 
     The stationary density of the limit generator
         [B b1 (1-z) - B b0 z + S z(1-z)] f' + (1/2) z (1-z) f''
-    is z^{2Bb1-1} (1-z)^{2Bb0-1} e^{2Sz} up to normalization; each moment
-    is integrated adaptively after the substitution z = sin^2(theta),
-    which absorbs the boundary singularities into polynomial weights, and
-    cached per order.
+    is z^{a1-1} (1-z)^{a0-1} e^{2Sz} up to normalization, with a0 = 2Bb0,
+    a1 = 2Bb1 and a = a0 + a1.  By DLMF 13.4.1 each moment is
+        (a1)_n (a0)_m / (a)_{n+m} M(a1+n, a+n+m, 2S) / M(a1, a, 2S),
+    with Kummer's M summed as a series of positive terms, cached per
+    order.  The series has about 2S terms; above MOMENT_TERM_CAP
+    (S past about 5e5) it raises BudgetError before allocating any.
     """
     validate_params(p)
     if n < 0 or m < 0:

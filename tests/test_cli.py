@@ -397,6 +397,32 @@ def test_taylor_report_values(tmp_path):
     assert abs(got["df-01"]) < 1e-14
 
 
+# small mutation shapes with strong selection: the moments behind the
+# limit rates span many orders of magnitude
+SHARP_MODEL = {**TAYLOR_CFG["model"], "N": 1000, "B": 0.01, "S": 400.0}
+
+
+def test_limit_chains_at_small_mutation_and_strong_selection(tmp_path):
+    cfg = write_cfg(tmp_path / "taylor.json",
+                    {**TAYLOR_CFG, "model": SHARP_MODEL})
+    out = tmp_path / "taylor"
+    assert main(["taylor-report", "--config", cfg, "--out", str(out)]) == 0
+    with open(out / "taylor.csv", newline="", encoding="utf-8") as fh:
+        got = {row["coefficient"]: float(row["value"])
+               for row in csv.DictReader(fh)}
+    assert abs(got["pf0"] - 1.0) < 1e-10
+    assert abs(got["pf1"] + 1.0) < 1e-10
+    assert abs(got["pf2"] - 1.0) < 1e-10
+
+    cfg = write_cfg(tmp_path / "survival.json",
+                    {**SURVIVAL_CFG, "model": SHARP_MODEL})
+    out = tmp_path / "survival"
+    assert main(["survival-table", "--config", cfg, "--out", str(out)]) == 0
+    with open(out / "moments.csv", newline="", encoding="utf-8") as fh:
+        moments = [float(row["value"]) for row in csv.DictReader(fh)]
+    assert all(0.0 < v <= 1.0 for v in moments)
+
+
 CROSS_CFG = {
     "model": {"N": 3, "d": 2, "B": 0.7, "S": 1.0,
               "b": [[0.3, 0.7], [0.3, 0.7]], "chi": [0.0, 1.0]},
@@ -448,6 +474,10 @@ def _huge(payload):
     return {**payload, "model": {**payload["model"], "N": 10**12}}
 
 
+def _huge_s(payload):
+    return {**payload, "model": {**payload["model"], "N": 10**12, "S": 10**12}}
+
+
 # a population of 10^12 would take terabytes (d^N configurations, N-site
 # start states, an N + 1 law vector); each refusal comes before any of it
 RUN_BUDGET_CASES = [
@@ -464,6 +494,11 @@ RUN_BUDGET_CASES = [
     # 2N = 5,794 states: a 268.6 MB dense matrix, just over 256 MiB
     ("dense_cat", "cat-equilibrium",
      {**CAT_CFG, "model": {**CAT_CFG["model"], "N": 2897}}, "dense budget"),
+    # S = 10^12 asks for a moment series of about 2 * 10^12 terms
+    ("huge_S_taylor", "taylor-report", _huge_s(TAYLOR_CFG),
+     "moment series above its term cap"),
+    ("huge_S_survival", "survival-table", _huge_s(SURVIVAL_CFG),
+     "moment series above its term cap"),
     ("huge_reps_neutral", "forward-distance",
      {**NEUTRAL_CFG, "replicates": 10**12}, "replicate count above its cap"),
     ("huge_reps_conditioned", "conditioned-distance",

@@ -363,6 +363,44 @@ def test_moment_errors():
         wf_single_moment(mk(3, b=((0.7, 0.3), (0.2, 0.8))), 1, 2)
 
 
+def _mp_moment(mpmath, B, S, b, n, m):
+    # 40-digit DLMF 13.4.1: Beta ratio times a ratio of Kummer functions
+    a0, a1 = mpmath.mpf(2 * B * b[0]), mpmath.mpf(2 * B * b[1])
+    a, x = a0 + a1, mpmath.mpf(2 * S)
+    return (mpmath.rf(a1, n) * mpmath.rf(a0, m) / mpmath.rf(a, n + m)
+            * mpmath.hyp1f1(a1 + n, a + n + m, x) / mpmath.hyp1f1(a1, a, x))
+
+
+@pytest.mark.parametrize("Bs,Ss,max_order,tol", [
+    # small mutation shapes, where boundary singularities are sharpest
+    ((0.01, 0.05, 0.1, 0.2, 0.3), (0.0, 1.0, 5.0), (3, 5), 1e-13),
+    ((0.01, 0.05, 0.1, 0.2, 0.3, 1.0, 10.0, 1000.0), (0.0, 1.0, 5.0, 50.0, 400.0),
+     (5, 5), 1e-12),
+], ids=["small-shapes", "wide"])
+def test_moments_match_mpmath(Bs, Ss, max_order, tol):
+    mpmath = pytest.importorskip("mpmath")
+    b = (0.7, 0.3)
+    worst = 0.0
+    with mpmath.workdps(40):
+        for B in Bs:
+            for S in Ss:
+                p = mk(1000, B=B, S=S, b=(b, b))
+                for n in range(max_order[0] + 1):
+                    for m in range(max_order[1] + 1):
+                        ref = _mp_moment(mpmath, B, S, b, n, m)
+                        got = wf_single_moment(p, n, m)
+                        worst = max(worst, float(abs(got - ref) / ref))
+    assert worst <= tol
+
+
+def test_moment_series_term_cap():
+    p = mk(10**12, S=1e12)
+    with pytest.raises(BudgetError, match="moment series above its term cap"):
+        wf_single_moment(p, 1, 2)
+    # S = 5e5 needs about 2S + 40 sqrt(2S) terms, just inside the cap
+    assert 0.0 < wf_single_moment(mk(10**6, S=5e5), 1, 2) < 1.0
+
+
 def test_pn_converges_to_wf_moment():
     p_of = lambda N: mk(N, S=1.0)
     target = wf_single_moment(p_of(10), 1, 2)

@@ -25,11 +25,17 @@ def test_package_all_is_union_of_module_lists():
     assert all(hasattr(moranlines, n) for n in moranlines.__all__)
 
 
-@pytest.mark.parametrize("module", ["moranlines", "moranlines.cli"])
-def test_import_leaves_slow_scipy_submodules_unloaded(module):
+@pytest.mark.parametrize("statement", [
+    "import moranlines",
+    "import moranlines.cli",
+    "from moranlines import ModelParams, wf_single_moment; "
+    "wf_single_moment(ModelParams(N=10, d=2, B=1.0, b=((0.7, 0.3),) * 2, "
+    "S=1.0, chi=(0.0, 1.0)), 2, 3)",
+], ids=["moranlines", "moranlines.cli", "moment"])
+def test_import_leaves_slow_scipy_submodules_unloaded(statement):
     # scipy.stats and scipy.integrate each cost about half a second of
-    # start-up; the package loads scipy.integrate only where it runs
-    code = (f"import sys, {module}; "
+    # start-up; the package loads scipy.integrate only for the survival ODEs
+    code = (f"import sys; {statement}; "
             "print(sorted(m for m in ('scipy.stats', 'scipy.integrate') "
             "if m in sys.modules))")
     # the child finds the package where this process found it
