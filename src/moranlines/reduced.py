@@ -61,8 +61,7 @@ CAT_N_CAP = 4096
 CAT_TAIL_TOL = 1e-10
 DIST_N_CAP = 2048
 DIST_CONV_TOL = 1e-9
-ODE_RTOL = 3e-12  # Radau tolerances of the survival solve
-ODE_ATOL = 1e-14
+CONTOUR_NODES = 16  # M: the survival contour has M + 1 nodes per time
 
 
 @dataclass(frozen=True)
@@ -412,34 +411,60 @@ class SurvivalTable:
                      + 2.0 * w("01", n) * f01)
 
 
+# only the benchmark tracer (perfbench/tracer.py) calls or rebinds this
 def solve_ivp(*args, **kwargs):
-    """scipy.integrate.solve_ivp, with scipy.integrate loaded on first use
-    because it is slow to import."""
+    """scipy.integrate.solve_ivp, with scipy.integrate loaded on first use."""
     from scipy import integrate
     return integrate.solve_ivp(*args, **kwargs)
 
 
+def _splu(A):
+    from scipy.sparse.linalg import splu  # loaded on first use
+    try:
+        return splu(A)
+    except RuntimeError as exc:  # a singular factor
+        raise ArithmeticError(f"survival solve failed: {exc}") from exc
+
+
+def _perron_shift(Q) -> float:
+    """Upper bound on Q's rightmost eigenvalue lam (real: -Q is an M-matrix):
+    inverse iteration keeps x > 0, so min Qx/x <= lam <= max Qx/x."""
+    lu, x = _splu(Q), np.ones(Q.shape[0])
+    for _ in range(200):  # a near tie (B -> 0) still ends within 2e-5
+        x = lu.solve(-x / x.max())
+        r = (Q @ x) / x
+        if r.max() - r.min() <= 1e-6 * abs(r.max()):
+            break
+    return float(r.max())
+
+
 def _survive_solve(spec: DistChainSpec, ts, n_top: int) -> tuple:
-    """(generator, {t: survival vector}) at every time in ts and at 0."""
+    """(generator, {t: e^{tQ} 1}) at every time in ts and at 0, by the
+    trapezoidal rule on the Bromwich contour s(u) = mu (1 + iu)^2, u = kh,
+    |k| <= M, h = 3/M, mu = pi M / (12 t) (Weideman & Trefethen 2007) for
+    Q - lam, lam its rightmost eigenvalue: the rule's error is absolute."""
     gen = dist_generator(spec, n_top=n_top, with_absorbed=False)
-    Q = gen.Q
-    y0 = np.ones(gen.n)
-    sol = {0.0: y0}
-    t_eval = sorted(set(t for t in ts if t > 0.0))
-    if not t_eval:
-        return gen, sol
-    res = solve_ivp(lambda _t, f: Q @ f, (0.0, t_eval[-1]), y0,
-                    method="Radau", t_eval=t_eval, jac=Q, rtol=ODE_RTOL,
-                    atol=ODE_ATOL)
-    if not res.success:
-        raise ArithmeticError(f"stiff solve failed: {res.message}")
-    sol.update(zip(t_eval, res.y.T))
+    sol = {0.0: np.ones(gen.n)}
+    Q, eye = gen.Q.tocsc(), sparse.identity(gen.n, format="csc")
+    lam = _perron_shift(Q)
+    m = CONTOUR_NODES
+    z = 1.0 + 3j / m * np.arange(m + 1)  # conjugate symmetry: k >= 0
+    for t in sorted(set(ts) - {0.0}):
+        s = math.pi * m / (12.0 * t) * z * z
+        w = z * np.exp(s * t)  # 4t times h s'(u) e^{st} / (2 pi i)
+        w[0] /= 2.0
+        acc = sum(wk * _splu((sk + lam) * eye - Q).solve(sol[0.0])
+                  for sk, wk in zip(s, w))
+        sol[t] = math.exp(lam * t) / (2.0 * t) * acc.real
+        if not np.all(np.isfinite(sol[t])):
+            raise ArithmeticError(f"non-finite survival at t = {t}")
     return gen, sol
 
 
 def dist_survival(spec: DistChainSpec, ts, ns,
                   n_max: int = 64) -> SurvivalTable:
-    """Survival table by stiff integration of the truncated ODE system.
+    """Survival table by contour quadrature of the truncated chain's
+    semigroup, f(t) = e^{tQ} 1 (see _survive_solve).
 
     The truncation reflects the top level (the up-rate out of n_top is
     dropped); n_max doubles until all requested values move by less than
@@ -457,8 +482,8 @@ def dist_survival(spec: DistChainSpec, ts, ns,
         n_top = spec.p.N - 2
         if any(n > n_top for n in ns):
             raise ParamError("pinned count outside finite chain range")
-        gen, sol = _survive_solve(spec, ts, n_top)
-        return SurvivalTable(spec, ts, ns, n_top, gen, sol)
+        return SurvivalTable(spec, ts, ns, n_top,
+                             *_survive_solve(spec, ts, n_top))
 
     n_top = n_max if all(n <= n_max for n in ns) else max(ns) + 16
     sol = None

@@ -10,11 +10,15 @@ import json
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 
-from moranlines import BudgetError, ParamError, cli
+from moranlines import (BudgetError, DistChainSpec, ParamError, cli,
+                        dist_survival)
 from moranlines.cli import (config_hash, emit_plotdata, load_config, main,
                             resolve_config)
 from moranlines.forward import BLOCK_REPS
+
+from helpers import mk
 
 DUALITY_CFG = {
     "model": {"N": 3, "d": 2, "B": 0.8, "S": 1.0,
@@ -295,6 +299,37 @@ def test_numerical_failure_exit_4(tmp_path, capsys, monkeypatch):
     assert rc == 4
     err = capsys.readouterr().err
     assert err.startswith("numerical failure: harmonic residual")
+    assert "Traceback" not in err
+    assert not (out / "manifest.csv").exists()
+
+
+class _NanFactor:
+    def __init__(self, A):
+        self.n = A.shape[0]
+
+    def solve(self, b):
+        return np.full(self.n, np.nan)
+
+
+def _singular(A):
+    raise RuntimeError("Factor is exactly singular")
+
+
+@pytest.mark.parametrize("splu,match", [
+    (_singular, "survival solve failed: Factor is exactly singular"),
+    (_NanFactor, "non-finite survival"),
+], ids=["singular", "non-finite"])
+def test_survival_solver_failure_exit_4(tmp_path, capsys, monkeypatch, splu,
+                                        match):
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", splu)
+    spec = DistChainSpec.limit(mk(10, b=((0.5, 0.5),) * 2))
+    with pytest.raises(ArithmeticError, match=match):
+        dist_survival(spec, (0.5,), (0,))
+    cfg = write_cfg(tmp_path / "cfg.json", SURVIVAL_CFG)
+    out = tmp_path / "out"
+    assert main(["survival-table", "--config", cfg, "--out", str(out)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith(f"numerical failure: {match}")
     assert "Traceback" not in err
     assert not (out / "manifest.csv").exists()
 

@@ -31,10 +31,13 @@ def test_package_all_is_union_of_module_lists():
     "from moranlines import ModelParams, wf_single_moment; "
     "wf_single_moment(ModelParams(N=10, d=2, B=1.0, b=((0.7, 0.3),) * 2, "
     "S=1.0, chi=(0.0, 1.0)), 2, 3)",
-], ids=["moranlines", "moranlines.cli", "moment"])
+    "from moranlines import DistChainSpec, ModelParams, dist_survival; "
+    "dist_survival(DistChainSpec.limit(ModelParams(N=10, d=2, B=1.0, "
+    "b=((0.7, 0.3),) * 2, S=1.0, chi=(0.0, 1.0))), (0.5, 2.0), (0,))",
+], ids=["moranlines", "moranlines.cli", "moment", "survival"])
 def test_import_leaves_slow_scipy_submodules_unloaded(statement):
-    # scipy.stats and scipy.integrate each cost about half a second of
-    # start-up; the package loads scipy.integrate only for the survival ODEs
+    # scipy.stats and scipy.integrate cost about 0.5 s and 0.2 s of
+    # start-up; no computation of the package needs either
     code = (f"import sys; {statement}; "
             "print(sorted(m for m in ('scipy.stats', 'scipy.integrate') "
             "if m in sys.modules))")

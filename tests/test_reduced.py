@@ -1,5 +1,5 @@
 """Reduced ancestor-type and pair-distance chains: rate tables, equilibria,
-lumping agreement with the conditioned backward chain, survival ODEs."""
+lumping agreement with the conditioned backward chain, survival tables."""
 
 import math
 
@@ -344,6 +344,51 @@ def test_fast_mutation_flattens_survival():
                   for y in Y_STATES for t in ts)
         sups.append(sup)
     assert sups[0] > sups[1] > sups[2]
+
+
+def test_survival_relative_accuracy_at_long_times():
+    # pf(0, t) = e^{-t} without selection; a solve whose error is absolute,
+    # near 1e-14 (an ODE tolerance, or the contour rule on the unshifted
+    # generator), misses it by about 4e-7 at t = 20 and by 100% at t = 40
+    table = dist_survival(DistChainSpec.limit(mk(10, b=HALF)), (20.0, 40.0),
+                          (0,))
+    for t in (20.0, 40.0):
+        assert table.pf_value(0, t) == pytest.approx(math.exp(-t), rel=1e-9)
+    ts = tuple(np.linspace(0.0, 80.0, 17))
+    table = dist_survival(DistChainSpec.limit(mk(10, b=HALF, S=1.0)), ts,
+                          (0, 1))
+    for n in (0, 1):
+        rows = [[table.f_value(y, n, t) for t in ts] for y in Y_STATES]
+        rows.append([table.pf_value(n, t) for t in ts])
+        for row in rows:
+            assert min(row) > 0.0
+            assert np.all(np.diff(row) <= 0.0)
+
+
+@pytest.mark.parametrize("mode", ["limit", "finite"])
+def test_survival_matches_mpmath_expm(mode):
+    # the truncated limit chain at n_top = 16 (51 states) and the finite
+    # chain at N = 6 against e^{tQ} 1 in 40 digits; later times step the
+    # vector by e^{0.01 Q}, one expm each instead of four
+    mpmath = pytest.importorskip("mpmath")
+    if mode == "limit":
+        spec, n_top = DistChainSpec.limit(mk(10, b=PI, S=1.0)), 16
+    else:
+        spec, n_top = DistChainSpec.finite_n(mk(6, b=PI, S=1.0)), 4
+    ts = (0.01, 0.5, 2.0, 8.0)
+    gen, sol = reduced._survive_solve(spec, ts, n_top)
+    worst, done = 0.0, 0
+    with mpmath.workdps(40):
+        step = mpmath.expm(mpmath.matrix(gen.Q.toarray().tolist())
+                           * mpmath.mpf(ts[0]))
+        f = mpmath.matrix([1] * gen.n)
+        for t in ts:
+            for _ in range(round(t / ts[0]) - done):
+                f = step * f
+            done = round(t / ts[0])
+            worst = max(worst, max(abs(float(f[i]) - sol[t][i])
+                                   for i in range(gen.n)))
+    assert worst <= 1e-12
 
 
 def test_moment_ratio_ordering_under_selection():
