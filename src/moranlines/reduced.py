@@ -61,7 +61,8 @@ CAT_N_CAP = 4096
 CAT_TAIL_TOL = 1e-10
 DIST_N_CAP = 2048
 DIST_CONV_TOL = 1e-9
-CONTOUR_NODES = 16  # M: the survival contour has M + 1 nodes per time
+CONTOUR_NODES = 16  # M: a contour for one time has M + 1 nodes
+CONTOUR_SPAN = 4.0  # L: one contour serves the times in [t1 / L, t1]
 
 
 @dataclass(frozen=True)
@@ -418,20 +419,22 @@ def solve_ivp(*args, **kwargs):
     return integrate.solve_ivp(*args, **kwargs)
 
 
-def _splu(A):
+def _solver(A):
+    """b -> A^{-1} b by sparse LU and one step of iterative refinement."""
     from scipy.sparse.linalg import splu  # loaded on first use
     try:
-        return splu(A)
+        lu = splu(A)
     except RuntimeError as exc:  # a singular factor
         raise ArithmeticError(f"survival solve failed: {exc}") from exc
+    return lambda b: (x := lu.solve(b)) + lu.solve(b - A @ x)
 
 
 def _perron_shift(Q) -> float:
     """Upper bound on Q's rightmost eigenvalue lam (real: -Q is an M-matrix):
     inverse iteration keeps x > 0, so min Qx/x <= lam <= max Qx/x."""
-    lu, x = _splu(Q), np.ones(Q.shape[0])
+    solve, x = _solver(Q), np.ones(Q.shape[0])
     for _ in range(200):  # a near tie (B -> 0) still ends within 2e-5
-        x = lu.solve(-x / x.max())
+        x = solve(-x / x.max())
         r = (Q @ x) / x
         if r.max() - r.min() <= 1e-6 * abs(r.max()):
             break
@@ -439,25 +442,31 @@ def _perron_shift(Q) -> float:
 
 
 def _survive_solve(spec: DistChainSpec, ts, n_top: int) -> tuple:
-    """(generator, {t: e^{tQ} 1}) at every time in ts and at 0, by the
-    trapezoidal rule on the Bromwich contour s(u) = mu (1 + iu)^2, u = kh,
-    |k| <= M, h = 3/M, mu = pi M / (12 t) (Weideman & Trefethen 2007) for
-    Q - lam, lam its rightmost eigenvalue: the rule's error is absolute."""
+    """(generator, {t: e^{tQ} 1}) at every time in ts and at 0: for Q - lam
+    (lam its rightmost eigenvalue), the trapezoidal rule on the Bromwich
+    contour s(u) = mu (1 + iu)^2, u = kh, h = 3/M, with one contour for all
+    times in [t1 / L, t1] (Weideman & Trefethen 2007; see the README)."""
     gen = dist_generator(spec, n_top=n_top, with_absorbed=False)
-    sol = {0.0: np.ones(gen.n)}
-    Q, eye = gen.Q.tocsc(), sparse.identity(gen.n, format="csc")
-    lam = _perron_shift(Q)
-    m = CONTOUR_NODES
-    z = 1.0 + 3j / m * np.arange(m + 1)  # conjugate symmetry: k >= 0
-    for t in sorted(set(ts) - {0.0}):
-        s = math.pi * m / (12.0 * t) * z * z
-        w = z * np.exp(s * t)  # 4t times h s'(u) e^{st} / (2 pi i)
-        w[0] /= 2.0
-        acc = sum(wk * _splu((sk + lam) * eye - Q).solve(sol[0.0])
-                  for sk, wk in zip(s, w))
-        sol[t] = math.exp(lam * t) / (2.0 * t) * acc.real
-        if not np.all(np.isfinite(sol[t])):
-            raise ArithmeticError(f"non-finite survival at t = {t}")
+    Q, one, m = gen.Q.tocsc(), np.ones(gen.n), CONTOUR_NODES
+    kill = -(Q @ one).min()  # 1 - f(t) <= t kill rounds off below 2^-54
+    sol = {t: one for t in {0.0, *ts} if t * kill < 2.0 ** -54}
+    later, lam = sorted(set(ts) - set(sol)), _perron_shift(Q)
+    eye = sparse.identity(gen.n, format="csc")
+    while later:
+        window = [t for t in later if t <= CONTOUR_SPAN * later[0]]
+        t1, later = window[-1], later[len(window):]
+        # k h reaches sqrt(8 t1 / t0 + 1); conjugate symmetry: k >= 0
+        k = math.ceil(m * math.sqrt(8.0 * t1 / window[0] + 1.0) / 3.0)
+        z = 1.0 + 3j / m * np.arange(k + 1)
+        s = math.pi * m / (12.0 * t1) * z * z  # mu = pi M / (12 t1)
+        R = np.array([_solver((sk + lam) * eye - Q)(one) for sk in s])
+        for t in window:
+            # h s'(u) e^{(s + lam) t} / (pi i), the k = 0 node halved
+            w = z * np.exp((s + lam) * t) / (2.0 * t1)
+            w[0] /= 2.0
+            sol[t] = np.minimum((w @ R).real, 1.0)  # the rule errs by 1e-14
+            if not np.all(np.isfinite(sol[t])):
+                raise ArithmeticError(f"non-finite survival at t = {t}")
     return gen, sol
 
 
@@ -472,8 +481,8 @@ def dist_survival(spec: DistChainSpec, ts, ns,
     """
     ts = tuple(float(t) for t in ts)
     ns = tuple(int(n) for n in ns)
-    if not all(t >= 0 for t in ts):  # phrased so that NaN fails
-        raise ParamError("nonnegative time required")
+    if not all(0.0 <= t < math.inf for t in ts):  # NaN fails too
+        raise ParamError("finite nonnegative time required")
     if any(n < 0 for n in ns):
         raise ParamError("pinned count must be nonnegative")
     if n_max < 1:

@@ -410,6 +410,19 @@ def test_survival_table_outputs(tmp_path):
             assert abs(float(row["value"]) - np.exp(-t)) < 1e-8
 
 
+def test_survival_table_at_vanishing_times(tmp_path):
+    # the contour's mu = pi M / (12 t) overflows below about 1e-307, where
+    # the survival rounds to 1
+    cfg = write_cfg(tmp_path / "cfg.json",
+                    {**SURVIVAL_CFG, "times": [5e-324, 1e-308, 0.25]})
+    out = tmp_path / "out"
+    assert main(["survival-table", "--config", cfg, "--out", str(out)]) == 0
+    with open(out / "pf.csv", newline="", encoding="utf-8") as fh:
+        values = [float(row["value"]) for row in csv.DictReader(fh)]
+    assert values[:2] == [1.0, 1.0]
+    assert values[2] == pytest.approx(np.exp(-0.25), abs=1e-12)
+
+
 TAYLOR_CFG = {
     "model": {"N": 10, "d": 2, "B": 1.0, "S": 1.0,
               "b": [[0.5, 0.5], [0.5, 0.5]], "chi": [0.0, 1.0]},

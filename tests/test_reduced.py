@@ -365,6 +365,49 @@ def test_survival_relative_accuracy_at_long_times():
             assert np.all(np.diff(row) <= 0.0)
 
 
+def test_survival_relative_accuracy_at_the_top_ladder_level():
+    # at n_top = DIST_N_CAP (6,147 states) the sparse LU alone, without
+    # its refinement step, missed pf(0, t) = e^{-t} by up to 3.4e-8
+    spec, n_top = DistChainSpec.limit(mk(10, b=HALF)), reduced.DIST_N_CAP
+    ts = (5.0, 20.0, 80.0)
+    gen, sol = reduced._survive_solve(spec, ts, n_top)
+    table = reduced.SurvivalTable(spec, ts, (0,), n_top, gen, sol)
+    for t in ts:
+        assert table.pf_value(0, t) == pytest.approx(math.exp(-t), rel=1e-12)
+
+
+def test_survival_contour_serves_a_window_of_times(monkeypatch):
+    # one contour serves all times in [t1 / 4, t1], so a 200-point grid on
+    # (0, 8] takes four windows of at most 32 factors each (plus one for
+    # the shift), not 17 per time, and matches one contour per time
+    spec = DistChainSpec.finite_n(mk(6, b=PI, S=1.0))
+    ts = tuple(np.linspace(0.04, 8.0, 200))
+    factors = []
+    solver = reduced._solver
+    monkeypatch.setattr(reduced, "_solver",
+                        lambda A: factors.append(A) or solver(A))
+    table = dist_survival(spec, ts, (0, 1))
+    assert len(factors) <= 1 + 4 * 32
+    for t in ts[::20]:
+        alone = dist_survival(spec, (t,), (0, 1))
+        for y in Y_STATES:
+            assert alone.f_value(y, 1, t) == pytest.approx(
+                table.f_value(y, 1, t), rel=1e-13)
+
+
+def test_survival_at_vanishing_times():
+    # 1 - f(t) <= t (largest killing rate) rounds off at these times, so
+    # f is exactly 1; the contour's mu = pi M / (12 t) would overflow for
+    # t below about 1e-307 (the first two)
+    tiny = (5e-324, 1e-310, 1e-300, 1e-20)
+    table = dist_survival(DistChainSpec.limit(mk(10, b=PI, S=1.0)),
+                          (0.0, *tiny, 1e-10, 0.25), (0, 1))
+    for n in (0, 1):
+        for y in Y_STATES:
+            assert [table.f_value(y, n, t) for t in tiny] == [1.0] * 4
+            assert 1.0 - 1e-9 < table.f_value(y, n, 1e-10) <= 1.0
+
+
 @pytest.mark.parametrize("mode", ["limit", "finite"])
 def test_survival_matches_mpmath_expm(mode):
     # the truncated limit chain at n_top = 16 (51 states) and the finite
@@ -464,8 +507,9 @@ def test_limit_chain_levels_checked_before_building():
     spec = DistChainSpec.limit(mk(4, b=PI, S=1.0))
     with pytest.raises(ParamError, match="pinned count must be nonnegative"):
         dist_survival(spec, (2.0,), (-1,))
-    with pytest.raises(ParamError, match="nonnegative time required"):
-        dist_survival(spec, (math.nan,), (0,))
+    for t in (math.nan, math.inf):  # an infinite time ran Radau forever
+        with pytest.raises(ParamError, match="nonnegative time required"):
+            dist_survival(spec, (t,), (0,))
     # past its cap a ladder is refused before any level of that size is
     # built: the ancestor-type chain's dense solve alone would take 2 GB
     with pytest.raises(BudgetError, match="nMax cap"):
