@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import sparse
 from scipy.special import gammaln, logsumexp
 
 __all__ = [
@@ -33,7 +34,8 @@ __all__ = [
 # linear-scale probability work switches to logs above this population size
 LOG_SCALE_THRESHOLD = 200
 
-# largest dense generator, in bytes, that the count-chain solve may allocate
+# largest dense array, in bytes, of one table or block; it also bounds the
+# count-chain solve by that chain's dense size
 DENSE_SOLVE_BYTES = 256 * 2**20
 COUNT_STATE_CAP = 100_000  # most count vectors the stationary law accepts
 MOMENT_TERM_CAP = 2**20  # most terms of one equilibrium-moment series
@@ -178,10 +180,10 @@ def finite_stationary_law(p: ModelParams) -> StationaryTypeLaw:
     d = 2 reduces to a birth-death chain on k = #type-1 sites with
         up(k)   = (N-k) B b(0,1) + k (N-k) (1/2 + S/2N)
         down(k) = k B b(1,0)     + k (N-k) (1/2 - S/2N)
-    solved in product form.  d > 2 solves the count-vector chain as a
-    linear system, refusing when its dense generator would exceed
-    DENSE_SOLVE_BYTES.  Either is refused above COUNT_STATE_CAP count
-    vectors.
+    solved in product form.  d > 2 solves the count-vector chain by a
+    sparse LU, whose fill grows fast with d; it is refused when the
+    chain's dense size, 8 n^2 bytes, would exceed DENSE_SOLVE_BYTES.
+    Either is refused above COUNT_STATE_CAP count vectors.
     """
     validate_params(p)
     if p.B <= 0 or not _irreducible(p.b):
@@ -201,51 +203,56 @@ def finite_stationary_law(p: ModelParams) -> StationaryTypeLaw:
         log_ratio[1:] = np.log(lam[:-1]) - np.log(mu[1:])
         log_w = np.cumsum(log_ratio)
         if N <= LOG_SCALE_THRESHOLD:
-            w = np.exp(log_w - log_w.max())
-            w /= w.sum()
-            log_w = np.log(w)
+            log_w -= log_w.max()
+            w = np.exp(log_w)
+            total = w.sum()
+            w /= total
+            log_w -= math.log(total)  # finite where w underflows
         else:
             log_w = log_w - logsumexp(log_w)
             w = np.exp(log_w)
         counts = tuple((N - k, k) for k in range(N + 1))
         return StationaryTypeLaw(N=N, d=2, counts=counts, weights=w, log_weights=log_w)
 
+    # the count chain's LU fills in fast with d (283 MiB of factors at
+    # d = 3, N = 445; past 5 GB at d = 4, N = 81), so its dense size bounds it
     if 8 * n_states**2 > DENSE_SOLVE_BYTES:
         raise BudgetError("exact solve infeasible")
+    from .exact import _generator  # exact imports this module
+
+    def moves(c):
+        # a u-site mutates to v, or a v-site overwrites a u-site
+        out = [(tuple(x - (k == u) + (k == v) for k, x in enumerate(c)),
+                c[u] * p.B * p.b[u][v] + c[v] * c[u] * resampling_rate(p, v, u))
+               for u in range(d) for v in range(d) if v != u and c[u] > 0]
+        return [m for m in out if m[1] > 0.0]
+
     counts = tuple(_compositions(N, d))
-    index = {c: i for i, c in enumerate(counts)}
-    Q = np.zeros((n_states, n_states))
-    for i, c in enumerate(counts):
-        for u in range(d):
-            if c[u] == 0:
-                continue
-            for v in range(d):
-                if v == u:
-                    continue
-                tgt = list(c)
-                tgt[u] -= 1
-                tgt[v] += 1
-                j = index[tuple(tgt)]
-                rate = c[u] * p.B * p.b[u][v]                      # one u-site mutates to v
-                rate += c[v] * c[u] * resampling_rate(p, v, u)     # a v-site overwrites a u-site
-                Q[i, j] += rate
-                Q[i, i] -= rate
-    w = stationary_vector(Q)
+    w = stationary_vector(_generator(counts, moves).Q)
     with np.errstate(divide="ignore"):
         log_w = np.log(w)
     return StationaryTypeLaw(N=N, d=d, counts=counts, weights=w, log_weights=log_w)
 
 
-def stationary_vector(Q: np.ndarray) -> np.ndarray:
-    """Stationary law pi Q = 0, sum pi = 1, of a dense irreducible
-    generator, by one dense solve in which the normalization replaces the
-    last balance equation.  Q is overwritten, so no second n x n array is
-    allocated."""
-    A = Q.T
-    A[-1, :] = 1.0
-    rhs = np.zeros(A.shape[0])
+def _solver(A):
+    """b -> A^{-1} b by sparse LU and one step of iterative refinement."""
+    from scipy.sparse.linalg import splu  # loaded on first use
+    try:
+        lu = splu(A)
+    except RuntimeError as exc:  # a singular factor
+        raise ArithmeticError(f"sparse solve failed: {exc}") from exc
+    return lambda b: (x := lu.solve(b)) + lu.solve(b - A @ x)
+
+
+def stationary_vector(Q) -> np.ndarray:
+    """Stationary law pi Q = 0, sum pi = 1, of a sparse irreducible
+    generator, by one sparse solve in which the normalization replaces the
+    last balance equation."""
+    n = Q.shape[0]
+    A = sparse.vstack([Q.T.tocsr()[:-1], np.ones((1, n))], format="csc")
+    rhs = np.zeros(n)
     rhs[-1] = 1.0
-    w = np.clip(np.linalg.solve(A, rhs), 0.0, None)
+    w = np.clip(_solver(A)(rhs), 0.0, None)
     return w / w.sum()
 
 

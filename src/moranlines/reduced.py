@@ -22,8 +22,8 @@ from typing import ClassVar
 import numpy as np
 from scipy import sparse
 
-from .model import (DENSE_SOLVE_BYTES, BudgetError, ModelParams, ParamError,
-                    StationaryTypeLaw, finite_stationary_law, pn_probability,
+from .model import (BudgetError, ModelParams, ParamError, StationaryTypeLaw,
+                    _solver, finite_stationary_law, pn_probability,
                     stationary_vector, two_type_mutation_rates,
                     validate_params, wf_single_moment)
 from .backward import canonical_start
@@ -97,9 +97,12 @@ class _ChainSpec:
         return cls(p=p, mode="limit", **flags)
 
     def prob(self, ones: int, zeros: int) -> float:
-        if self.mode == "finite":
-            return pn_probability(self.law, ones, zeros)
-        return wf_single_moment(self.p, ones, zeros)
+        value = (pn_probability(self.law, ones, zeros) if self.mode == "finite"
+                 else wf_single_moment(self.p, ones, zeros))
+        if value == 0.0:  # positive in exact arithmetic
+            raise ArithmeticError(
+                f"sampling probability of (1^{ones}, 0^{zeros}) underflows to 0")
+        return value
 
 
 @dataclass(frozen=True)
@@ -226,33 +229,30 @@ class CatEquilibrium:
 
 
 def cat_equilibrium(spec: CatChainSpec, n_max: int = 32) -> CatEquilibrium:
-    """Stationary law of the ancestor-type chain and its mark marginal.
+    """Stationary law of the ancestor-type chain and its mark marginal,
+    by one sparse solve per chain.
 
-    Finite mode solves the 2N-state chain densely, refused when that
-    takes more than DENSE_SOLVE_BYTES.  Limit mode truncates at n_max and
-    doubles until the mass at the truncation boundary drops below
-    CAT_TAIL_TOL, failing with a budget error past CAT_N_CAP.
+    Finite mode solves the 2N-state chain, refused when its top level
+    N - 1 passes CAT_N_CAP.  Limit mode truncates at n_max and doubles
+    until the mass at the truncation boundary drops below CAT_TAIL_TOL,
+    failing with a budget error past CAT_N_CAP.
     """
     if n_max < 1:
         raise ParamError("n_max must be at least 1")
-    if spec.mode == "finite":
-        if 8 * (2 * spec.p.N) ** 2 > DENSE_SOLVE_BYTES:
-            raise BudgetError("finite ancestor-type chain over the dense budget")
-        gen = cat_generator(spec)
-        pi = stationary_vector(gen.Q.toarray())
-        n_top = spec.p.N - 1
-    else:
-        n_top = n_max
-        while True:
-            # checked before the dense solve, which takes 32 n_top^2 bytes
-            if n_top > CAT_N_CAP:
-                raise BudgetError("tail bound unmet at nMax cap")
-            gen = cat_generator(spec, n_top=n_top)
-            pi = stationary_vector(gen.Q.toarray())
-            tail = sum(pi[gen.index[(u, n_top)]] for u in (0, 1))
-            if tail < CAT_TAIL_TOL:
-                break
-            n_top *= 2
+    finite = spec.mode == "finite"
+    n_top = spec.p.N - 1 if finite else n_max
+    if finite and n_top > CAT_N_CAP:
+        raise BudgetError("finite ancestor-type chain above the level cap")
+    while True:
+        # checked before the level is built
+        if n_top > CAT_N_CAP:
+            raise BudgetError("tail bound unmet at nMax cap")
+        gen = cat_generator(spec, n_top=n_top)
+        pi = stationary_vector(gen.Q)
+        tail = sum(pi[gen.index[(u, n_top)]] for u in (0, 1))
+        if finite or tail < CAT_TAIL_TOL:
+            break
+        n_top *= 2
     m0 = float(sum(pi[k] for k, s in enumerate(gen.states) if s[0] == 0))
     m1 = float(sum(pi[k] for k, s in enumerate(gen.states) if s[0] == 1))
     return CatEquilibrium(states=gen.states, pi=pi, marginal=(m0, m1),
@@ -417,16 +417,6 @@ def solve_ivp(*args, **kwargs):
     """scipy.integrate.solve_ivp, with scipy.integrate loaded on first use."""
     from scipy import integrate
     return integrate.solve_ivp(*args, **kwargs)
-
-
-def _solver(A):
-    """b -> A^{-1} b by sparse LU and one step of iterative refinement."""
-    from scipy.sparse.linalg import splu  # loaded on first use
-    try:
-        lu = splu(A)
-    except RuntimeError as exc:  # a singular factor
-        raise ArithmeticError(f"survival solve failed: {exc}") from exc
-    return lambda b: (x := lu.solve(b)) + lu.solve(b - A @ x)
 
 
 def _perron_shift(Q) -> float:

@@ -315,21 +315,42 @@ def _singular(A):
     raise RuntimeError("Factor is exactly singular")
 
 
-@pytest.mark.parametrize("splu,match", [
-    (_singular, "survival solve failed: Factor is exactly singular"),
-    (_NanFactor, "non-finite survival"),
-], ids=["singular", "non-finite"])
-def test_survival_solver_failure_exit_4(tmp_path, capsys, monkeypatch, splu,
-                                        match):
+@pytest.mark.parametrize("experiment,splu,match", [
+    ("survival-table", _singular,
+     "sparse solve failed: Factor is exactly singular"),
+    ("survival-table", _NanFactor, "non-finite survival"),
+    ("cat-equilibrium", _singular,
+     "sparse solve failed: Factor is exactly singular"),
+], ids=["singular", "non-finite", "cat-singular"])
+def test_survival_solver_failure_exit_4(tmp_path, capsys, monkeypatch,
+                                        experiment, splu, match):
     monkeypatch.setattr(scipy.sparse.linalg, "splu", splu)
-    spec = DistChainSpec.limit(mk(10, b=((0.5, 0.5),) * 2))
-    with pytest.raises(ArithmeticError, match=match):
-        dist_survival(spec, (0.5,), (0,))
-    cfg = write_cfg(tmp_path / "cfg.json", SURVIVAL_CFG)
+    if experiment == "survival-table":
+        spec = DistChainSpec.limit(mk(10, b=((0.5, 0.5),) * 2))
+        with pytest.raises(ArithmeticError, match=match):
+            dist_survival(spec, (0.5,), (0,))
+    payload = SURVIVAL_CFG if experiment == "survival-table" else CAT_CFG
+    cfg = write_cfg(tmp_path / "cfg.json", payload)
     out = tmp_path / "out"
-    assert main(["survival-table", "--config", cfg, "--out", str(out)]) == 4
+    assert main([experiment, "--config", cfg, "--out", str(out)]) == 4
     err = capsys.readouterr().err
     assert err.startswith(f"numerical failure: {match}")
+    assert "Traceback" not in err
+    assert not (out / "manifest.csv").exists()
+
+
+@pytest.mark.parametrize("N", [200, 201])
+def test_underflowed_probability_exit_4(tmp_path, capsys, N):
+    # at S = N the finite law's P(0^N) underflows to 0 (on either side of
+    # the switch to log-scale weights); a rate over it must not divide by 0
+    payload = {**CAT_CFG, "model": {**CAT_CFG["model"], "N": N, "S": N,
+                                    "b": [[0.5, 0.5], [0.5, 0.5]]}}
+    cfg = write_cfg(tmp_path / "cfg.json", payload)
+    out = tmp_path / "out"
+    assert main(["cat-equilibrium", "--config", cfg, "--out", str(out)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: sampling probability of")
+    assert "underflows to 0" in err
     assert "Traceback" not in err
     assert not (out / "manifest.csv").exists()
 
@@ -539,9 +560,9 @@ RUN_BUDGET_CASES = [
      "exact solve infeasible"),
     ("huge_N_cat", "cat-equilibrium", _huge(CAT_CFG),
      "exact solve infeasible"),
-    # 2N = 5,794 states: a 268.6 MB dense matrix, just over 256 MiB
-    ("dense_cat", "cat-equilibrium",
-     {**CAT_CFG, "model": {**CAT_CFG["model"], "N": 2897}}, "dense budget"),
+    # top level N - 1 = 4,097, one past the ancestor-type chain's cap
+    ("cat_level_cap", "cat-equilibrium",
+     {**CAT_CFG, "model": {**CAT_CFG["model"], "N": 4098}}, "level cap"),
     # S = 10^12 asks for a moment series of about 2 * 10^12 terms
     ("huge_S_taylor", "taylor-report", _huge_s(TAYLOR_CFG),
      "moment series above its term cap"),

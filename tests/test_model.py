@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 
 import moranlines.model as model
 from moranlines import (BudgetError, ModelParams, ParamError, build_type_generator,
@@ -179,6 +180,78 @@ def test_law_dense_byte_budget(monkeypatch):
     monkeypatch.setattr(np, "zeros", guarded_zeros)
     with pytest.raises(BudgetError, match="exact solve infeasible"):
         finite_stationary_law(mk(300, d=3))
+
+
+def _dense_stationary(Q):
+    # reference: the normalization row replaces the last balance equation
+    A = np.array(Q.T)
+    A[-1, :] = 1.0
+    rhs = np.zeros(len(A))
+    rhs[-1] = 1.0
+    w = np.clip(np.linalg.solve(A, rhs), 0.0, None)
+    return w / w.sum()
+
+
+@pytest.mark.parametrize("mode,size", [
+    ("finite", 20), ("finite", 60), ("limit", 64), ("limit", 512),
+    ("limit", 1024)])
+def test_stationary_vector_matches_dense_solve(mode, size):
+    # the ancestor-type chain at N = size, or on the ladder at n_top = size
+    from moranlines.reduced import CatChainSpec, cat_generator
+    if mode == "finite":
+        p = mk(size, b=((0.3, 0.7), (0.3, 0.7)), S=1.0)
+        gen = cat_generator(CatChainSpec.finite_n(p))
+    else:
+        p = mk(10, b=((0.3, 0.7), (0.3, 0.7)), S=1.0)
+        gen = cat_generator(CatChainSpec.limit(p), n_top=size)
+    pi = model.stationary_vector(gen.Q)
+    assert np.abs(pi - _dense_stationary(gen.Q.toarray())).max() <= 1e-15
+
+
+def test_count_chain_law_matches_dense_solve():
+    # d = 3, N = 12: the law against a count-chain generator filled by
+    # hand and solved densely
+    p = mk(12, d=3, B=0.7, b=((0.2, 0.5, 0.3), (0.6, 0.1, 0.3),
+                             (0.25, 0.25, 0.5)), S=3.0, chi=(0.0, 0.4, 1.0))
+    law = finite_stationary_law(p)
+    index = {c: i for i, c in enumerate(law.counts)}
+    Q = np.zeros((len(index), len(index)))
+    for i, c in enumerate(law.counts):
+        for u in range(3):
+            for v in range(3):
+                if u != v and c[u] > 0:
+                    tgt = list(c)
+                    tgt[u] -= 1
+                    tgt[v] += 1
+                    rate = (c[u] * p.B * p.b[u][v]
+                            + c[v] * c[u] * resampling_rate(p, v, u))
+                    Q[i, index[tuple(tgt)]] += rate
+                    Q[i, i] -= rate
+    assert len(index) == 91
+    assert np.abs(law.weights - _dense_stationary(Q)).max() <= 1e-15
+    assert np.abs(law.weights @ Q).max() <= 1e-14
+
+
+@pytest.mark.parametrize("N", [200, 201])
+def test_law_logs_finite_where_weights_underflow(N):
+    # at S = N the weight of k = 0 is about e^-1000: it underflows on both
+    # sides of the switch to log-scale weights, while its log must not
+    p = mk(N, S=float(N), b=((0.5, 0.5), (0.5, 0.5)))
+    law = finite_stationary_law(p)
+    log_w = law.log_weights
+    assert np.all(np.isfinite(log_w)) and law.weights[0] == 0.0
+    assert -1010.0 < log_w[0] < -990.0
+    assert logsumexp(log_w) == pytest.approx(0.0, abs=1e-12)
+    assert np.allclose(np.exp(log_w), law.weights, rtol=1e-12, atol=0.0)
+    # the linear-scale weights are bit-identical to exp(shifted) / sum
+    if N <= model.LOG_SCALE_THRESHOLD:
+        ks = np.arange(N + 1, dtype=float)
+        lam = (N - ks) * 0.5 + ks * (N - ks)
+        mu = ks * 0.5
+        c = np.cumsum(np.r_[0.0, np.log(lam[:-1]) - np.log(mu[1:])])
+        w = np.exp(c - c.max())
+        w /= w.sum()
+        assert np.array_equal(law.weights, w)
 
 
 def test_law_occupation_monte_carlo():

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 import sympy as sp
 
+import moranlines.model as model
 import moranlines.reduced as reduced
 from moranlines import BudgetError, ParamError, wf_single_moment
 from moranlines.reduced import (ABSORBED, CatChainSpec, DistChainSpec,
@@ -476,20 +477,42 @@ def test_reduced_interface_errors(monkeypatch):
 
 
 
-def test_finite_cat_chain_dense_budget(monkeypatch):
-    # the dense solve of the 2N-state chain takes 8 (2N)^2 bytes; with the
-    # budget set to N = 5's, N = 6 is refused before its chain is built
-    monkeypatch.setattr(reduced, "DENSE_SOLVE_BYTES", 8 * 10 ** 2)
+def test_finite_cat_chain_level_cap(monkeypatch):
+    # the finite chain's top level N - 1 is held to the limit ladder's
+    # cap; with the cap lowered to 4, N = 5 is solved
+    cap = reduced.CAT_N_CAP
+    monkeypatch.setattr(reduced, "CAT_N_CAP", 4)
     eq = cat_equilibrium(CatChainSpec.finite_n(mk(5, b=PI, S=1.0)))
-    assert len(eq.states) == 10
-    spec = CatChainSpec.finite_n(mk(6, b=PI, S=1.0))
+    assert eq.n_top == 4 and len(eq.states) == 10
 
     def no_build(*args, **kwargs):
         raise AssertionError("chain built before the budget check")
 
+    # one level more is refused before its chain is built, at the lowered
+    # cap and at the real one (N = 4,098)
     monkeypatch.setattr(reduced, "cat_generator", no_build)
-    with pytest.raises(BudgetError, match="dense budget"):
-        cat_equilibrium(spec)
+    for N, n_cap in ((6, 4), (cap + 2, cap)):
+        monkeypatch.setattr(reduced, "CAT_N_CAP", n_cap)
+        with pytest.raises(BudgetError, match="level cap"):
+            cat_equilibrium(CatChainSpec.finite_n(mk(N, b=PI, S=1.0)))
+
+
+def test_cat_ladder_top_level_within_dense_budget(monkeypatch):
+    # the ladder's top level CAT_N_CAP has 8,194 states; a dense generator
+    # of them (537 MB) would pass the byte budget, so any allocation past
+    # it fails the test
+    real_zeros = np.zeros
+
+    def guarded_zeros(shape, *args, **kwargs):
+        assert 8 * np.prod(shape) <= model.DENSE_SOLVE_BYTES, \
+            "dense array past the byte budget"
+        return real_zeros(shape, *args, **kwargs)
+
+    monkeypatch.setattr(np, "zeros", guarded_zeros)
+    eq = cat_equilibrium(CatChainSpec.limit(mk(10, b=PI, S=1.0)),
+                         n_max=reduced.CAT_N_CAP)
+    assert eq.n_top == reduced.CAT_N_CAP
+    assert sum(eq.marginal) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_truncation_start_below_one_refused():
@@ -511,7 +534,7 @@ def test_limit_chain_levels_checked_before_building():
         with pytest.raises(ParamError, match="nonnegative time required"):
             dist_survival(spec, (t,), (0,))
     # past its cap a ladder is refused before any level of that size is
-    # built: the ancestor-type chain's dense solve alone would take 2 GB
+    # built
     with pytest.raises(BudgetError, match="nMax cap"):
         cat_equilibrium(CatChainSpec.limit(spec.p),
                         n_max=reduced.CAT_N_CAP * 2)
