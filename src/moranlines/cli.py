@@ -128,6 +128,8 @@ def _resolve(raw, experiment, seed, out, workers) -> ExperimentConfig:
         raise ParamError("horizon and times must be finite")
     if horizon < 0.0:
         raise ParamError("horizon must be nonnegative")
+    if any(t < 0.0 for t in times):
+        raise ParamError("times must be nonnegative")
     if any(t2 <= t1 for t1, t2 in zip(times, times[1:])):
         raise ParamError("time grid must be strictly increasing")
     replicates = int(raw.get("replicates", 1))

@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import sparse
-from scipy.special import gammaln, logsumexp
 
 __all__ = [
     "ParamError",
@@ -30,9 +29,6 @@ __all__ = [
     "wf_single_moment",
     "moment_recurrence_residuals",
 ]
-
-# linear-scale probability work switches to logs above this population size
-LOG_SCALE_THRESHOLD = 200
 
 # largest dense array, in bytes, of one table or block; it also bounds the
 # count-chain solve by that chain's dense size
@@ -146,6 +142,8 @@ class StationaryTypeLaw:
     counts: tuple
     weights: np.ndarray = field(compare=False)
     log_weights: np.ndarray = field(compare=False)
+    # n -> _pn_row(self, n), built on first use by pn_probability
+    _pn_rows: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def index_of(self, count_vec) -> int:
         try:
@@ -202,15 +200,11 @@ def finite_stationary_law(p: ModelParams) -> StationaryTypeLaw:
         log_ratio = np.zeros(N + 1)
         log_ratio[1:] = np.log(lam[:-1]) - np.log(mu[1:])
         log_w = np.cumsum(log_ratio)
-        if N <= LOG_SCALE_THRESHOLD:
-            log_w -= log_w.max()
-            w = np.exp(log_w)
-            total = w.sum()
-            w /= total
-            log_w -= math.log(total)  # finite where w underflows
-        else:
-            log_w = log_w - logsumexp(log_w)
-            w = np.exp(log_w)
+        log_w -= log_w.max()
+        w = np.exp(log_w)
+        total = w.sum()
+        w /= total
+        log_w -= math.log(total)  # finite where w underflows
         counts = tuple((N - k, k) for k in range(N + 1))
         return StationaryTypeLaw(N=N, d=2, counts=counts, weights=w, log_weights=log_w)
 
@@ -256,38 +250,42 @@ def stationary_vector(Q) -> np.ndarray:
     return w / w.sum()
 
 
+def _pn_row(law: StationaryTypeLaw, n: int) -> list:
+    """[P_N(1^n, 0^m) for m = 0..N-n] in one pass: the terms
+    w_k (k)_n (N-k)_m / (N)_{n+m}, k = n..N-m, start as w_k (k)_n / (N)_n,
+    and each step in m multiplies them by (N-k-m) / (N-n-m), dropping k = N-m.
+    """
+    N = law.N
+    ks = np.arange(n, N + 1, dtype=float)
+    t = law.weights[n:].copy()
+    for j in range(n):
+        t *= (ks - j) / (N - j)
+    row = [t.sum()]
+    for m in range(N - n):
+        t = t[:-1] * ((N - m - ks[:-m - 1]) / (N - n - m))
+        row.append(t.sum())
+    return row
+
+
 def pn_probability(law: StationaryTypeLaw, n: int, m: int) -> float:
     """P_N(1^n, 0^m): n distinct sites carry type 1 and m further sites type 0.
 
     By exchangeability this is the falling-factorial sampling average
-    sum_k w_k (k)_n (N-k)_m / (N)_{n+m}.
+    sum_k w_k (k)_n (N-k)_m / (N)_{n+m}, read from a row over every m
+    that is built once per law and n.
     """
     if law.d != 2:
         raise ParamError("two-type law required")
     if n < 0 or m < 0:
         raise ParamError("negative sample size")
-    N = law.N
-    if n + m > N:
+    if n + m > law.N:
         raise ParamError("sample larger than population")
     if n == 0 and m == 0:
         return 1.0
-    if N <= LOG_SCALE_THRESHOLD:
-        total = 0.0
-        denom = math.perm(N, n + m)
-        for k in range(n, N - m + 1):
-            wk = float(law.weights[k])
-            if wk == 0.0:
-                continue
-            total += wk * (math.perm(k, n) * math.perm(N - k, m) / denom)
-        return total
-    ks = np.arange(n, N - m + 1)
-    log_terms = (
-        law.log_weights[ks]
-        + gammaln(ks + 1) - gammaln(ks - n + 1)
-        + gammaln(N - ks + 1) - gammaln(N - ks - m + 1)
-        - (gammaln(N + 1) - gammaln(N - n - m + 1))
-    )
-    return float(np.exp(logsumexp(log_terms)))
+    rows = law._pn_rows
+    if n not in rows:
+        rows[n] = _pn_row(law, n)
+    return float(rows[n][m])
 
 
 def _log_kummer(alpha: float, beta: float, x: float) -> float:

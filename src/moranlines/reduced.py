@@ -88,6 +88,8 @@ class _ChainSpec:
             raise ParamError("population of at least two required")
         if law is None:
             law = finite_stationary_law(p)
+        elif law.N != p.N or law.d != 2:
+            raise ParamError("stationary law of another model")
         return cls(p=p, mode="finite", law=law, **flags)
 
     @classmethod

@@ -341,8 +341,8 @@ def test_survival_solver_failure_exit_4(tmp_path, capsys, monkeypatch,
 
 @pytest.mark.parametrize("N", [200, 201])
 def test_underflowed_probability_exit_4(tmp_path, capsys, N):
-    # at S = N the finite law's P(0^N) underflows to 0 (on either side of
-    # the switch to log-scale weights); a rate over it must not divide by 0
+    # at S = N the finite law's P(0^N) underflows to 0; a rate over it
+    # must not divide by 0
     payload = {**CAT_CFG, "model": {**CAT_CFG["model"], "N": N, "S": N,
                                     "b": [[0.5, 0.5], [0.5, 0.5]]}}
     cfg = write_cfg(tmp_path / "cfg.json", payload)
@@ -604,3 +604,23 @@ def test_replicate_cap_is_inclusive():
 def test_emit_plotdata_rejects_empty(tmp_path):
     with pytest.raises(ParamError, match="no plot points"):
         emit_plotdata(str(tmp_path / "plotdata.csv"), [])
+
+
+# each experiment's test config
+EXPERIMENT_CFGS = {
+    "duality-sweep": DUALITY_CFG, "forward-distance": FORWARD_CFG,
+    "conditioned-distance": CONDITIONED_CFG, "cat-equilibrium": CAT_CFG,
+    "survival-table": SURVIVAL_CFG, "taylor-report": TAYLOR_CFG,
+    "cross-check": CROSS_CFG,
+}
+
+
+@pytest.mark.parametrize("experiment", cli.EXPERIMENTS)
+def test_negative_times_exit_2(tmp_path, capsys, experiment):
+    payload = {**EXPERIMENT_CFGS[experiment], "times": [-1.0, 0.5]}
+    cfg = write_cfg(tmp_path / "cfg.json", payload)
+    out = tmp_path / "out"
+    assert main([experiment, "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "times must be nonnegative" in err
+    assert not (out / "manifest.csv").exists()

@@ -1,6 +1,7 @@
 """Parameter validation, stationary type laws, and Wright-Fisher moments."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -234,24 +235,26 @@ def test_count_chain_law_matches_dense_solve():
 
 @pytest.mark.parametrize("N", [200, 201])
 def test_law_logs_finite_where_weights_underflow(N):
-    # at S = N the weight of k = 0 is about e^-1000: it underflows on both
-    # sides of the switch to log-scale weights, while its log must not
+    # at S = N the weight of k = 0 is about e^-1000: it underflows, while
+    # its log must not
     p = mk(N, S=float(N), b=((0.5, 0.5), (0.5, 0.5)))
     law = finite_stationary_law(p)
     log_w = law.log_weights
     assert np.all(np.isfinite(log_w)) and law.weights[0] == 0.0
     assert -1010.0 < log_w[0] < -990.0
     assert logsumexp(log_w) == pytest.approx(0.0, abs=1e-12)
-    assert np.allclose(np.exp(log_w), law.weights, rtol=1e-12, atol=0.0)
-    # the linear-scale weights are bit-identical to exp(shifted) / sum
-    if N <= model.LOG_SCALE_THRESHOLD:
-        ks = np.arange(N + 1, dtype=float)
-        lam = (N - ks) * 0.5 + ks * (N - ks)
-        mu = ks * 0.5
-        c = np.cumsum(np.r_[0.0, np.log(lam[:-1]) - np.log(mu[1:])])
-        w = np.exp(c - c.max())
-        w /= w.sum()
-        assert np.array_equal(law.weights, w)
+    # relative to the weight, or to the smallest normal float where the
+    # weight is subnormal and holds fewer than 53 bits
+    assert np.allclose(np.exp(log_w), law.weights, rtol=1e-12,
+                       atol=1e-12 * np.finfo(float).tiny)
+    # the weights are bit-identical to exp(shifted) / sum
+    ks = np.arange(N + 1, dtype=float)
+    lam = (N - ks) * 0.5 + ks * (N - ks)
+    mu = ks * 0.5
+    c = np.cumsum(np.r_[0.0, np.log(lam[:-1]) - np.log(mu[1:])])
+    w = np.exp(c - c.max())
+    w /= w.sum()
+    assert np.array_equal(law.weights, w)
 
 
 def test_law_occupation_monte_carlo():
@@ -351,15 +354,34 @@ def test_pn_errors():
         law.index_of((7, 1))
 
 
-def test_log_scale_path_matches_linear(monkeypatch):
-    p = mk(50, S=1.0, B=0.6, b=((0.7, 0.3), (0.7, 0.3)))
-    law_lin = finite_stationary_law(p)
-    ref = [pn_probability(law_lin, n, m) for n, m in [(1, 0), (2, 3), (0, 4)]]
-    monkeypatch.setattr(model, "LOG_SCALE_THRESHOLD", 10)
-    law_log = finite_stationary_law(p)
-    got = [pn_probability(law_log, n, m) for n, m in [(1, 0), (2, 3), (0, 4)]]
-    assert got == pytest.approx(ref, rel=1e-12)
-    assert np.abs(law_log.weights - law_lin.weights).max() <= 1e-13
+def _exact_pn(law, n, m) -> Fraction:
+    """sum_k w_k (k)_n (N-k)_m / (N)_{n+m} in exact rationals over the
+    law's float weights, as one integer sum over their common denominator."""
+    N = law.N
+    ratios = [w.as_integer_ratio() for w in law.weights.tolist()]
+    den = max(q for _, q in ratios)  # every q is a power of two
+    total, tail = 0, math.perm(N - n, m)  # tail = (N-k)_m at k = n
+    for k in range(n, N - m + 1):
+        if k > n:
+            tail = tail * (N - k + 1 - m) // (N - k + 1)
+        num, q = ratios[k]
+        total += num * (den // q) * math.perm(k, n) * tail
+    return Fraction(total, den * math.perm(N, n + m))
+
+
+@pytest.mark.parametrize("N", [5, 50, 200, 201, 1000, 4097])
+@pytest.mark.parametrize("B,b,S", [(1.0, (0.3, 0.7), 1.0),
+                                   (2.0, (0.5, 0.5), 0.0)],
+                         ids=["selected", "neutral"])
+def test_pn_matches_exact_rationals(N, B, b, S):
+    law = finite_stationary_law(mk(N, B=B, b=(b, b), S=S))
+    for n in range(3):
+        for m in sorted({int(x) for x in np.linspace(0, N - n, 7)}):
+            if n == m == 0:
+                continue
+            exact = _exact_pn(law, n, m)
+            err = float(abs(Fraction(pn_probability(law, n, m)) - exact) / exact)
+            assert err <= 2e-14, (n, m, err)
 
 
 # ------------------------------------------------------------------- moments

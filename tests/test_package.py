@@ -1,8 +1,11 @@
 """The package exports exactly what its modules declare public, and
-loads only the scipy submodules that every run needs."""
+loads only the scipy submodules that every run needs; the README's
+numerical notes name every numeric module constant."""
+import ast
 import importlib
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -48,3 +51,36 @@ def test_import_leaves_slow_scipy_submodules_unloaded(statement):
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True, env=env)
     assert out.stdout.strip() == "[]"
+
+
+def _numeric_constants(tree) -> set:
+    # upper-case names assigned a number, or arithmetic on numbers, at
+    # module level; imported names are not assignments and do not count
+    out = set()
+    for node in tree.body:
+        if not isinstance(node, ast.Assign):
+            continue
+        parts = list(ast.walk(node.value))
+        numeric = all(isinstance(x, (ast.BinOp, ast.UnaryOp, ast.operator,
+                                     ast.unaryop, ast.Constant)) for x in parts)
+        numeric &= all(type(x.value) in (int, float) for x in parts
+                       if isinstance(x, ast.Constant))
+        if numeric:
+            out |= {t.id for t in node.targets
+                    if isinstance(t, ast.Name) and t.id.isupper()}
+    return out
+
+
+def test_numerical_notes_list_every_module_constant():
+    # every numeric module constant steers a result or a budget, so the
+    # README's numerical-notes table names each one, and only those
+    pkg = pathlib.Path(moranlines.__file__).resolve().parent
+    defined = {f"{path.stem}.{name}" for path in pkg.glob("*.py")
+               for name in _numeric_constants(
+                   ast.parse(path.read_text(encoding="utf-8")))}
+    readme = (pkg.parents[1] / "README.md").read_text(encoding="utf-8")
+    notes = readme.split("## Numerical notes", 1)[1].split("\n## ", 1)[0]
+    listed = {name for line in notes.splitlines() if line.startswith("| `")
+              for name in re.findall(r"`(\w+\.[A-Z][A-Z0-9_]*)`",
+                                     line.split("|")[1])}
+    assert defined == listed

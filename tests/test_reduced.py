@@ -497,6 +497,36 @@ def test_finite_cat_chain_level_cap(monkeypatch):
             cat_equilibrium(CatChainSpec.finite_n(mk(N, b=PI, S=1.0)))
 
 
+def test_finite_cat_chain_at_the_cap_builds_one_row_per_n(monkeypatch):
+    # every rate of the finite chain reads P_N(1^a, 0^c) with a <= 1, so
+    # the chain at the top level N - 1 = CAT_N_CAP needs a row for a = 0
+    # and one for a = 1, each built once
+    built = []
+    real_row = model._pn_row
+
+    def counted_row(law, n):
+        built.append(n)
+        return real_row(law, n)
+
+    monkeypatch.setattr(model, "_pn_row", counted_row)
+    N = reduced.CAT_N_CAP + 1
+    eq = cat_equilibrium(CatChainSpec.finite_n(mk(N, b=PI, S=1.0)))
+    assert eq.n_top == N - 1 and len(eq.states) == 2 * N
+    assert sum(eq.marginal) == pytest.approx(1.0, abs=1e-12)
+    assert sorted(built) == [0, 1]
+
+
+def test_finite_chains_refuse_a_law_of_another_model():
+    p = mk(5, b=PI, S=1.0)
+    for other in (mk(8, b=PI, S=1.0), mk(5, d=3, chi=(0.0, 0.5, 1.0))):
+        law = model.finite_stationary_law(other)
+        for cls in (CatChainSpec, DistChainSpec):
+            with pytest.raises(ParamError, match="law of another model"):
+                cls.finite_n(p, law=law)
+    law = model.finite_stationary_law(p)
+    assert CatChainSpec.finite_n(p, law=law).law is law
+
+
 def test_cat_ladder_top_level_within_dense_budget(monkeypatch):
     # the ladder's top level CAT_N_CAP has 8,194 states; a dense generator
     # of them (537 MB) would pass the byte budget, so any allocation past
