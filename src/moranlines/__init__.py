@@ -24,7 +24,7 @@ from .backward import (BpPath, BpState, BpTransition, LinePath,
 from .exact import (DualityReport, GeneratorMatrix, build_bp_generator,
                     build_type_generator, check_duality, compute_h,
                     compute_hT, config_law_vector, duality_reports,
-                    expm_apply, h_star, harmonic_residual, permute_bp_state,
+                    expm_apply, harmonic_residual, permute_bp_state,
                     permute_type_config)
 from .transformed import (ConditionedSample, FunctionalCheck, HTTable,
                           HTransformedKernel, conditioned_functional_check,
@@ -61,7 +61,7 @@ __all__ = [
     # exact
     "DualityReport", "GeneratorMatrix", "build_bp_generator",
     "build_type_generator", "check_duality", "compute_h", "compute_hT",
-    "config_law_vector", "duality_reports", "expm_apply", "h_star",
+    "config_law_vector", "duality_reports", "expm_apply",
     "harmonic_residual", "permute_bp_state", "permute_type_config",
     # transformed
     "ConditionedSample", "FunctionalCheck", "HTTable", "HTransformedKernel",

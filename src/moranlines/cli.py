@@ -29,7 +29,7 @@ import sys
 import tempfile
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -53,6 +53,9 @@ EXPERIMENTS = ("duality-sweep", "forward-distance", "conditioned-distance",
                "cat-equilibrium", "survival-table", "taylor-report",
                "cross-check")
 REPLICATE_CAP = 1_000_000  # most replicates one run may ask for
+CONFIG_KEYS = ("experiment", "model", "horizon", "times", "replicates", "seed",
+               "out", "workers", "tagged", "nu", "ns", "order")
+MODEL_KEYS = ("N", "d", "B", "b", "S", "chi")
 
 
 @dataclass(frozen=True)
@@ -69,8 +72,6 @@ class ExperimentConfig:
     nu: tuple | None = None
     ns: tuple = (0,)
     order: int = 3
-    n_max: int = 32
-    resolved: dict = field(default_factory=dict, compare=False)
 
 
 def load_config(path: str) -> dict:
@@ -95,6 +96,9 @@ def _model_from(raw: dict) -> ModelParams:
         chi = tuple(float(x) for x in m["chi"])
     except KeyError as exc:
         raise ParamError(f"config missing model key {exc}") from exc
+    for key in m:
+        if key not in MODEL_KEYS:
+            raise ParamError(f"unknown config key 'model.{key}'")
     if b_raw and isinstance(b_raw[0], (list, tuple)):
         b = tuple(tuple(float(x) for x in row) for row in b_raw)
     else:
@@ -121,6 +125,9 @@ def _resolve(raw, experiment, seed, out, workers) -> ExperimentConfig:
     cfg_exp = raw.get("experiment")
     if cfg_exp is not None and cfg_exp != experiment:
         raise ParamError("experiment mismatch between command and config")
+    for key in raw:
+        if key not in CONFIG_KEYS:
+            raise ParamError(f"unknown config key '{key}'")
     model = _model_from(raw)
     horizon = float(raw.get("horizon", 1.0))
     times = tuple(float(t) for t in raw.get("times", ()))
@@ -150,28 +157,18 @@ def _resolve(raw, experiment, seed, out, workers) -> ExperimentConfig:
     if not ns:
         raise ParamError("ns must list at least one pinned count")
     order = int(raw.get("order", 3))
-    n_max = int(raw.get("n_max", 32))
-
-    resolved = {
-        "experiment": experiment,
-        "model": {"N": model.N, "d": model.d, "B": model.B,
-                  "b": [x for row in model.b for x in row],
-                  "S": model.S, "chi": list(model.chi)},
-        "horizon": horizon, "times": list(times), "replicates": replicates,
-        "seed": cfg_seed, "tagged": {str(k): v for k, v in sorted(tagged.items())},
-        "nu": list(nu) if nu is not None else None,
-        "ns": list(ns), "order": order, "n_max": n_max,
-    }
     return ExperimentConfig(experiment=experiment, model=model,
                             horizon=horizon, times=times,
                             replicates=replicates, seed=cfg_seed,
                             out_dir=out_dir, workers=n_workers, tagged=tagged,
-                            nu=nu, ns=ns, order=order, n_max=n_max,
-                            resolved=resolved)
+                            nu=nu, ns=ns, order=order)
 
 
 def config_hash(cfg: ExperimentConfig) -> str:
-    blob = json.dumps(cfg.resolved, sort_keys=True, separators=(",", ":"))
+    """sha256 of the resolved settings that can change an output."""
+    fields = asdict(cfg)
+    del fields["out_dir"], fields["workers"]
+    blob = json.dumps(fields, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
@@ -341,8 +338,7 @@ def _conditioned_chunk(p, T, seed, tagged, nu, reps) -> list:
     out = []
     for rep in reps:
         rng = np.random.Generator(np.random.Philox(key=(seed, rep)))
-        path = sample_transformed_path(kernel, start, rng, t_end=T,
-                                       cache=cache)
+        path = sample_transformed_path(kernel, start, rng, T, cache=cache)
         out.append(first_coalescence_time(path))
     return out
 
@@ -371,7 +367,7 @@ def _exp_cat_equilibrium(cfg: ExperimentConfig, out: str) -> list:
     for (u, n), prob in zip(fin.states, fin.pi):
         rows.append(("finite", u, n, float(prob)))
     plot.extend([("cat-marginal", u, fin.marginal[u]) for u in (0, 1)])
-    lim = cat_equilibrium(CatChainSpec.limit(p), n_max=cfg.n_max)
+    lim = cat_equilibrium(CatChainSpec.limit(p))
     for (u, n), prob in zip(lim.states, lim.pi):
         rows.append(("limit", u, n, float(prob)))
     plot.extend([("cat-marginal-limit", u, lim.marginal[u]) for u in (0, 1)])
@@ -385,7 +381,7 @@ def _exp_survival_table(cfg: ExperimentConfig, out: str) -> list:
     p = cfg.model
     times = cfg.times or (0.25, 0.5, 1.0, 2.0)
     spec = DistChainSpec.limit(p)
-    table = dist_survival(spec, times, cfg.ns, n_max=cfg.n_max)
+    table = dist_survival(spec, times, cfg.ns)
     f_rows = [(y, n, t, table.f_value(y, n, t))
               for y in Y_STATES for n in cfg.ns for t in times]
     _write_csv(os.path.join(out, "survival.csv"), ("y", "n", "t", "f"), f_rows)

@@ -28,7 +28,6 @@ __all__ = [
     "build_type_generator",
     "build_bp_generator",
     "expm_apply",
-    "h_star",
     "config_law_vector",
     "check_duality",
     "duality_reports",
@@ -241,20 +240,10 @@ def expm_apply(gen: GeneratorMatrix, v, t: float,
     return np.exp(c * t) * acc
 
 
-def h_star(config, s: BpState) -> int:
-    """Indicator that a type configuration is compatible with a backward
-    state: marks match exactly, active sites carry an allowed type."""
-    for (u, site, _members) in s.blocks:
-        if config[site] != u:
-            return 0
-    for i in s.act_sites:
-        if config[i] not in s.active[i]:
-            return 0
-    return 1
-
-
 def h_star_vector(s: BpState, configs_arr: np.ndarray, d: int) -> np.ndarray:
-    """Vectorized indicator over an array of configurations (n_cfg x N)."""
+    """Indicator, over an array of configurations (n_cfg x N), that a type
+    configuration is compatible with a backward state: marks match
+    exactly, active sites carry an allowed type."""
     mask = np.ones(configs_arr.shape[0], dtype=bool)
     for (u, site, _members) in s.blocks:
         mask &= configs_arr[:, site] == u

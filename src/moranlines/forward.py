@@ -276,13 +276,10 @@ def simulate_types(p: ModelParams, types, T: float, rng) -> tuple:
     return tuple(run_until(init_forest(p, 0.0, types), p, T, rng).current_types)
 
 
-def _check_pair_args(N: int, T: float, reps: int, pair) -> float:
+def _check_pair_args(N: int, T: float, reps: int) -> float:
     """Validate a pair-distance request; returns the horizon as a float."""
     if N < 2:
         raise ParamError("population of at least two required")
-    i0, j0 = pair
-    if i0 == j0 or not (0 <= i0 < N and 0 <= j0 < N):
-        raise ParamError("distinct sites inside the population required")
     T = float(T)
     if not (math.isfinite(T) and T >= 0.0):
         raise ParamError("horizon must be finite and nonnegative")
@@ -291,8 +288,8 @@ def _check_pair_args(N: int, T: float, reps: int, pair) -> float:
     return T
 
 
-def _trace_pair(N: int, T: float, reps: int, rng, pair) -> tuple:
-    """Trace one site pair's lines backward from T at S = 0.
+def _trace_pair(N: int, T: float, reps: int, rng) -> tuple:
+    """Trace the lines of sites 0 and 1 backward from T at S = 0.
 
     Returns (tau, sites): tau is each replicate's merge time, 0 if the
     lines are still apart when the clock passes 0; sites (reps x 2) holds
@@ -300,7 +297,7 @@ def _trace_pair(N: int, T: float, reps: int, rng, pair) -> tuple:
     merge site twice or the two time-0 sites.
     """
     tau = np.zeros(reps)
-    sites = np.tile(np.array(pair, dtype=np.int64), (reps, 1))
+    sites = np.tile(np.array((0, 1), dtype=np.int64), (reps, 1))
     live = np.arange(reps)               # replicates whose lines are apart
     now = np.full(reps, T)               # their backward clocks
     while live.size:
@@ -317,9 +314,9 @@ def _trace_pair(N: int, T: float, reps: int, rng, pair) -> tuple:
     return tau, sites
 
 
-def neutral_pair_distance_samples(N: int, T: float, reps: int, seed: int,
-                                  pair=(0, 1)) -> np.ndarray:
-    """Genealogical distances of one site pair at time T without selection.
+def neutral_pair_distance_samples(N: int, T: float, reps: int,
+                                  seed: int) -> np.ndarray:
+    """Genealogical distances of sites 0 and 1 at time T without selection.
 
     Valid only at S = 0, where resampling pairs are uniform over all
     ordered pairs (self-pairs included) at total rate N^2/2 and mutation
@@ -336,9 +333,9 @@ def neutral_pair_distance_samples(N: int, T: float, reps: int, seed: int,
     traced together, one event each per round: memory is O(reps) and
     the rounds number about N min(T, merge time).
     """
-    T = _check_pair_args(N, T, reps, pair)
+    T = _check_pair_args(N, T, reps)
     rng = np.random.Generator(np.random.Philox(key=seed))
-    tau, _sites = _trace_pair(N, T, reps, rng, pair)
+    tau, _sites = _trace_pair(N, T, reps, rng)
     return 2.0 * (T - tau)
 
 
@@ -375,7 +372,7 @@ def pair_distance_samples(p: ModelParams, T: float, reps: int, seed: int,
     replicates come back in that order.
     """
     validate_params(p)
-    T = _check_pair_args(p.N, T, reps, (0, 1))
+    T = _check_pair_args(p.N, T, reps)
     size = _block_size(p.N)
     parts = []
     for k in blocks:

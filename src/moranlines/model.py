@@ -130,20 +130,21 @@ def _irreducible(b) -> bool:
 
 @dataclass(frozen=True)
 class StationaryTypeLaw:
-    """Stationary law of the type-frequency (count-vector) chain.
+    """Stationary law of the type-frequency (count-vector) chain of model p.
 
     counts enumerates the d-dimensional count vectors summing to N; weights
     is the probability of each.  For d = 2 the enumeration is
     ((N-k, k) for k in 0..N) so weights[k] is the law of the type-1 count.
     """
 
-    N: int
-    d: int
+    p: ModelParams
     counts: tuple
     weights: np.ndarray = field(compare=False)
-    log_weights: np.ndarray = field(compare=False)
     # n -> _pn_row(self, n), built on first use by pn_probability
     _pn_rows: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    N = property(lambda self: self.p.N)
+    d = property(lambda self: self.p.d)
 
     def index_of(self, count_vec) -> int:
         try:
@@ -200,13 +201,10 @@ def finite_stationary_law(p: ModelParams) -> StationaryTypeLaw:
         log_ratio = np.zeros(N + 1)
         log_ratio[1:] = np.log(lam[:-1]) - np.log(mu[1:])
         log_w = np.cumsum(log_ratio)
-        log_w -= log_w.max()
-        w = np.exp(log_w)
-        total = w.sum()
-        w /= total
-        log_w -= math.log(total)  # finite where w underflows
+        w = np.exp(log_w - log_w.max())
+        w /= w.sum()
         counts = tuple((N - k, k) for k in range(N + 1))
-        return StationaryTypeLaw(N=N, d=2, counts=counts, weights=w, log_weights=log_w)
+        return StationaryTypeLaw(p=p, counts=counts, weights=w)
 
     # the count chain's LU fills in fast with d (283 MiB of factors at
     # d = 3, N = 445; past 5 GB at d = 4, N = 81), so its dense size bounds it
@@ -223,9 +221,7 @@ def finite_stationary_law(p: ModelParams) -> StationaryTypeLaw:
 
     counts = tuple(_compositions(N, d))
     w = stationary_vector(_generator(counts, moves).Q)
-    with np.errstate(divide="ignore"):
-        log_w = np.log(w)
-    return StationaryTypeLaw(N=N, d=d, counts=counts, weights=w, log_weights=log_w)
+    return StationaryTypeLaw(p=p, counts=counts, weights=w)
 
 
 def _solver(A):

@@ -16,6 +16,7 @@ a closed weighted ODE system checked here term by term.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import ClassVar
 
@@ -55,8 +56,9 @@ Y_STATES = ("00", "11", "01")  # pair classes: both 0, both 1, mixed
 ABSORBED = "absorbed"
 _Y_ONES = {"00": 0, "11": 2, "01": 1}
 
-# limit chains double their truncation up to a cap, until the boundary
-# mass (ancestor type) or every requested survival value (pair) settles
+# limit ladders start at LADDER_START and double up to a cap, until the
+# boundary mass (ancestor type) or each requested survival value (pair) settles
+LADDER_START = 32
 CAT_N_CAP = 4096
 CAT_TAIL_TOL = 1e-10
 DIST_N_CAP = 2048
@@ -69,15 +71,14 @@ CONTOUR_SPAN = 4.0  # L: one contour serves the times in [t1 / L, t1]
 class _ChainSpec:
     """Rate source shared by the reduced chains.
 
-    mode "finite" reads sampling probabilities from a stationary law at
-    population size N; mode "limit" reads diffusion moments, computed
-    lazily per order.
+    A finite chain (law set) reads sampling probabilities from the
+    stationary law at population size N; a limit chain reads diffusion
+    moments, computed lazily per order.
     """
 
     _min_N: ClassVar[int] = 1
 
     p: ModelParams
-    mode: str
     law: StationaryTypeLaw | None = None
 
     @classmethod
@@ -88,22 +89,22 @@ class _ChainSpec:
             raise ParamError("population of at least two required")
         if law is None:
             law = finite_stationary_law(p)
-        elif law.N != p.N or law.d != 2:
+        elif law.p != p:
             raise ParamError("stationary law of another model")
-        return cls(p=p, mode="finite", law=law, **flags)
+        return cls(p=p, law=law, **flags)
 
     @classmethod
     def limit(cls, p: ModelParams, **flags):
         validate_params(p)
         two_type_mutation_rates(p)
-        return cls(p=p, mode="limit", **flags)
+        return cls(p=p, **flags)
 
     def prob(self, ones: int, zeros: int) -> float:
-        value = (pn_probability(self.law, ones, zeros) if self.mode == "finite"
+        value = (pn_probability(self.law, ones, zeros) if self.law is not None
                  else wf_single_moment(self.p, ones, zeros))
-        if value == 0.0:  # positive in exact arithmetic
-            raise ArithmeticError(
-                f"sampling probability of (1^{ones}, 0^{zeros}) underflows to 0")
+        if value < sys.float_info.min:  # 0 or subnormal: too few bits left
+            raise ArithmeticError(f"sampling probability of (1^{ones}, "
+                                  f"0^{zeros}) underflows to 0 or a subnormal")
         return value
 
 
@@ -134,7 +135,7 @@ def _cat_rates(spec: CatChainSpec, u: int, n: int, n_top: int) -> list:
     p = spec.p
     b0, b1 = two_type_mutation_rates(p)
     B, S, N = p.B, p.S, p.N
-    finite = spec.mode == "finite"
+    finite = spec.law is not None
     den = spec.prob(u, n + 1 - u)
     out = []
     if n < n_top:
@@ -156,7 +157,7 @@ def _dist_rates(spec: DistChainSpec, y: str, n: int, n_top: int) -> list:
     p = spec.p
     b0, b1 = two_type_mutation_rates(p)
     B, S, N = p.B, p.S, p.N
-    finite = spec.mode == "finite"
+    finite = spec.law is not None
     den = spec.weight(y, n)
     out = []
     if n < n_top:
@@ -192,8 +193,8 @@ def _dist_rates(spec: DistChainSpec, y: str, n: int, n_top: int) -> list:
 
 
 def cat_generator(spec: CatChainSpec, n_top: int | None = None) -> GeneratorMatrix:
-    """Generator over (u, n); finite mode tops out at n = N-1."""
-    if spec.mode == "finite":
+    """Generator over (u, n); a finite chain tops out at n = N-1."""
+    if spec.law is not None:
         n_top = spec.p.N - 1
     elif n_top is None:
         raise ParamError("limit mode needs an explicit truncation level")
@@ -209,7 +210,7 @@ def dist_generator(spec: DistChainSpec, n_top: int | None = None,
     the diagonal, which is exactly the survival-function generator: the
     transient block of the absorbing generator.
     """
-    if spec.mode == "finite":
+    if spec.law is not None:
         n_top = spec.p.N - 2
     elif n_top is None:
         raise ParamError("limit mode needs an explicit truncation level")
@@ -230,19 +231,17 @@ class CatEquilibrium:
     n_top: int = 0
 
 
-def cat_equilibrium(spec: CatChainSpec, n_max: int = 32) -> CatEquilibrium:
+def cat_equilibrium(spec: CatChainSpec) -> CatEquilibrium:
     """Stationary law of the ancestor-type chain and its mark marginal,
     by one sparse solve per chain.
 
-    Finite mode solves the 2N-state chain, refused when its top level
-    N - 1 passes CAT_N_CAP.  Limit mode truncates at n_max and doubles
-    until the mass at the truncation boundary drops below CAT_TAIL_TOL,
-    failing with a budget error past CAT_N_CAP.
+    A finite chain is solved on its 2N states, refused when its top level
+    N - 1 passes CAT_N_CAP.  A limit chain is truncated at LADDER_START and
+    doubled until the mass at the truncation boundary drops below
+    CAT_TAIL_TOL, failing with a budget error past CAT_N_CAP.
     """
-    if n_max < 1:
-        raise ParamError("n_max must be at least 1")
-    finite = spec.mode == "finite"
-    n_top = spec.p.N - 1 if finite else n_max
+    finite = spec.law is not None
+    n_top = spec.p.N - 1 if finite else LADDER_START
     if finite and n_top > CAT_N_CAP:
         raise BudgetError("finite ancestor-type chain above the level cap")
     while True:
@@ -462,14 +461,14 @@ def _survive_solve(spec: DistChainSpec, ts, n_top: int) -> tuple:
     return gen, sol
 
 
-def dist_survival(spec: DistChainSpec, ts, ns,
-                  n_max: int = 64) -> SurvivalTable:
+def dist_survival(spec: DistChainSpec, ts, ns) -> SurvivalTable:
     """Survival table by contour quadrature of the truncated chain's
     semigroup, f(t) = e^{tQ} 1 (see _survive_solve).
 
     The truncation reflects the top level (the up-rate out of n_top is
-    dropped); n_max doubles until all requested values move by less than
-    DIST_CONV_TOL, failing with a budget error past DIST_N_CAP.
+    dropped); it starts at LADDER_START and doubles until all requested
+    values move by less than DIST_CONV_TOL, failing with a budget error
+    past DIST_N_CAP.
     """
     ts = tuple(float(t) for t in ts)
     ns = tuple(int(n) for n in ns)
@@ -477,16 +476,15 @@ def dist_survival(spec: DistChainSpec, ts, ns,
         raise ParamError("finite nonnegative time required")
     if any(n < 0 for n in ns):
         raise ParamError("pinned count must be nonnegative")
-    if n_max < 1:
-        raise ParamError("n_max must be at least 1")
-    if spec.mode == "finite":
+    if spec.law is not None:
         n_top = spec.p.N - 2
         if any(n > n_top for n in ns):
             raise ParamError("pinned count outside finite chain range")
         return SurvivalTable(spec, ts, ns, n_top,
                              *_survive_solve(spec, ts, n_top))
 
-    n_top = n_max if all(n <= n_max for n in ns) else max(ns) + 16
+    n_top = (LADDER_START if all(n <= LADDER_START for n in ns)
+             else max(ns) + 16)
     sol = None
     while 2 * n_top <= DIST_N_CAP:
         if sol is None:
@@ -500,7 +498,7 @@ def dist_survival(spec: DistChainSpec, ts, ns,
         gen, sol, n_top = gen2, sol2, 2 * n_top
         if worst < DIST_CONV_TOL:
             return SurvivalTable(spec, ts, ns, n_top, gen, sol)
-    raise BudgetError("truncation unconverged at nMax cap; increase nMax")
+    raise BudgetError("truncation unconverged at nMax cap")
 
 
 @dataclass(frozen=True)
@@ -524,7 +522,7 @@ def dist_taylor_coeffs(spec: DistChainSpec, n: int = 0,
     if order < 0:
         raise ParamError("nonnegative order required")
     n_top = n + order + 2
-    if spec.mode == "finite":
+    if spec.law is not None:
         if n_top > spec.p.N - 2:
             n_top = spec.p.N - 2
         if n > n_top:

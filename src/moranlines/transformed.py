@@ -106,16 +106,15 @@ class HTTable:
 
 @dataclass(frozen=True)
 class HTransformedKernel:
-    """Reweighted backward dynamics, homogeneous or time-inhomogeneous."""
+    """Reweighted backward dynamics, time-inhomogeneous when ht is set."""
 
     p: ModelParams
-    mode: str  # "homogeneous" | "inhomogeneous"
     gen: GeneratorMatrix | None = None
     h: np.ndarray | None = None
     ht: HTTable | None = None
 
     def h_value(self, state: BpState, t: float | None = None) -> float:
-        if self.mode == "homogeneous":
+        if self.ht is None:
             idx = self.gen.index.get(state)
             if idx is None:
                 raise ParamError("state outside the kernel's reachable set")
@@ -129,11 +128,11 @@ def make_homogeneous_kernel(p: ModelParams, start: BpState,
                             law=None) -> HTransformedKernel:
     gen = build_bp_generator(p, start)
     h = compute_h(p, gen, law=law)
-    return HTransformedKernel(p=p, mode="homogeneous", gen=gen, h=h)
+    return HTransformedKernel(p=p, gen=gen, h=h)
 
 
 def make_inhomogeneous_kernel(p: ModelParams, mu, T: float) -> HTransformedKernel:
-    return HTransformedKernel(p=p, mode="inhomogeneous", ht=HTTable(p, mu, T))
+    return HTransformedKernel(p=p, ht=HTTable(p, mu, T))
 
 
 def transformed_rates(kernel: HTransformedKernel, state: BpState,
@@ -177,8 +176,7 @@ class _StateTables:
 
 
 def sample_transformed_path(kernel: HTransformedKernel, start: BpState, rng,
-                            t_end: float | None = None,
-                            cache: dict | None = None) -> BpPath:
+                            t_end: float, cache: dict | None = None) -> BpPath:
     """Trajectory of the conditioned backward chain on [0, t_end].
 
     Homogeneous kernels run plain event-by-event simulation with the
@@ -186,16 +184,12 @@ def sample_transformed_path(kernel: HTransformedKernel, start: BpState, rng,
     maximum of the total-rate knot values, which dominates the true rate
     on the remaining span because rates are monotone between knots.
     """
-    if kernel.mode == "homogeneous":
-        if t_end is None:
-            raise ParamError("explicit horizon required")
+    if kernel.ht is None:
         return _jump_path(start, kernel.p, t_end, rng,
                           cache if cache is not None else {},
                           lambda s: transformed_rates(kernel, s))
 
     ht = kernel.ht
-    if t_end is None:
-        t_end = ht.T
     if t_end > ht.T:
         raise ParamError("horizon beyond table range")
     tables = cache if cache is not None else {}

@@ -219,7 +219,7 @@ def test_criterion_10_lemma_ode_residuals():
     for S in (0.0, 1.0):
         p = mk(10, B=1.0, b=HALF, S=S)
         spec = DistChainSpec.limit(p)
-        table = dist_survival(spec, ts, (0,), n_max=32)
+        table = dist_survival(spec, ts, (0,))
         rep = lemma_ode_residual(spec, table, n_cap=10)
         worst = max(worst, rep.max_system, rep.max_pf)
     assert worst <= 1e-8

@@ -215,6 +215,12 @@ BAD_CASES = [
     ("model_list", {**DUALITY_CFG, "model": [1, 2]}, "malformed config"),
     ("inf_seed", {**DUALITY_CFG, "seed": float("inf")}, "malformed config"),
     ("negative_seed", {**DUALITY_CFG, "seed": -1}, "seed must be"),
+    # a misspelt key once ran on its default without a word
+    ("misspelt_key", {**DUALITY_CFG, "replicate": 5},
+     "unknown config key 'replicate'"),
+    ("unknown_model_key",
+     {**DUALITY_CFG, "model": {**DUALITY_CFG["model"], "s": 1.0}},
+     "unknown config key 'model.s'"),
 ]
 
 
@@ -339,10 +345,11 @@ def test_survival_solver_failure_exit_4(tmp_path, capsys, monkeypatch,
     assert not (out / "manifest.csv").exists()
 
 
-@pytest.mark.parametrize("N", [200, 201])
+@pytest.mark.parametrize("N", [151, 156, 200, 201])
 def test_underflowed_probability_exit_4(tmp_path, capsys, N):
-    # at S = N the finite law's P(0^N) underflows to 0; a rate over it
-    # must not divide by 0
+    # at S = N the finite law's P(0^m) at large m underflow: to subnormals
+    # from N = 151 (P(0^N) is 2e-322 at N = 156), to 0 from N = 157; a rate
+    # over one must neither divide by 0 nor carry too few bits
     payload = {**CAT_CFG, "model": {**CAT_CFG["model"], "N": N, "S": N,
                                     "b": [[0.5, 0.5], [0.5, 0.5]]}}
     cfg = write_cfg(tmp_path / "cfg.json", payload)
@@ -411,7 +418,6 @@ SURVIVAL_CFG = {
               "b": [[0.5, 0.5], [0.5, 0.5]], "chi": [0.0, 1.0]},
     "times": [0.25, 0.5],
     "ns": [0],
-    "n_max": 8,
 }
 
 
@@ -516,12 +522,9 @@ RUN_BAD_CASES = [
      "pinned count must be nonnegative"),
     ("empty_ns", "taylor-report", {**TAYLOR_CFG, "ns": []},
      "at least one pinned count"),
-    ("zero_n_max_cat", "cat-equilibrium", {**CAT_CFG, "n_max": 0},
-     "n_max must be at least 1"),
-    ("negative_n_max_cat", "cat-equilibrium", {**CAT_CFG, "n_max": -3},
-     "n_max must be at least 1"),
-    ("zero_n_max_survival", "survival-table", {**SURVIVAL_CFG, "n_max": 0},
-     "n_max must be at least 1"),
+    # the limit ladders start at reduced.LADDER_START, which no config sets
+    ("stale_n_max", "survival-table", {**SURVIVAL_CFG, "n_max": 8},
+     "unknown config key 'n_max'"),
 ]
 
 

@@ -38,7 +38,7 @@ def configs(draw):
         "replicates": st.integers(1, 30), "seed": st.integers(0, 99),
         "tagged": st.sampled_from([{"0": 0, "1": 0}, {"0": 0, "1": d - 1}]),
         "nu": st.just(row), "ns": st.sampled_from([[0], [0, 1]]),
-        "order": st.sampled_from([0, 3]), "n_max": st.sampled_from([1, 8]),
+        "order": st.sampled_from([0, 3]),
     }
     bad = {
         "N": [0, -1, "x"], "d": [1, NAN, None],
@@ -52,7 +52,7 @@ def configs(draw):
         "tagged": [{"5": 0}, {"0": 7}, {}, [1, 2], 5],
         "nu": [[NAN] + row[1:], [-1.0, 2.0] + row[2:], [0.5], 5],
         "ns": [[], [-1], 5, ["x"]], "order": [-1, NAN],
-        "n_max": [0, -3, NAN], "model": [[1, 2], 5],
+        "model": [[1, 2], 5],
     }
     broken = draw(st.lists(st.sampled_from(sorted(bad)), max_size=2,
                            unique=True))

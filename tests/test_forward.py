@@ -247,26 +247,17 @@ def _assert_same_survival(slow, fast, times):
         assert abs(ps - pf_) <= 3 * math.hypot(ss, sf), (t, ps, pf_)
 
 
-def _check_fast_sampler_against_forest(pair, slow_key, fast_seed):
+def test_fast_sampler_matches_forest_reference():
     p = mk(3, B=0.0)
-    rng = philox(*slow_key)
+    rng = philox(19, 0)
     T = 1.5
     slow = np.empty(4000)
     for r in range(slow.size):
         f = init_forest(p, 0.0, (0, 0, 0))
         run_until(f, p, T, rng)
-        slow[r] = genealogical_distance(f, *pair)
-    fast = neutral_pair_distance_samples(3, T, 200_000, seed=fast_seed,
-                                         pair=pair)
+        slow[r] = genealogical_distance(f, 0, 1)
+    fast = neutral_pair_distance_samples(3, T, 200_000, seed=20)
     _assert_same_survival(slow, fast, (0.3, 0.9))
-
-
-def test_fast_sampler_matches_forest_reference():
-    _check_fast_sampler_against_forest((0, 1), (19, 0), 20)
-
-
-def test_fast_sampler_matches_forest_reference_reversed_pair():
-    _check_fast_sampler_against_forest((2, 0), (19, 1), 21)
 
 
 def test_neutral_sampler_cost_does_not_scale_with_event_count():
@@ -298,15 +289,15 @@ def test_neutral_trace_merge_sites_match_forest():
     # the distance law cannot see how the tracer moves its lines; the law
     # of the sites where the two lines end can: both on the merge site, or
     # apart on their time-0 sites
-    N, T, pair = 3, 1.0, (2, 0)
+    N, T = 3, 1.0
     p = mk(N, B=0.0)
     rng = philox(23, 0)
     slow = np.empty((4000, 2), dtype=np.int64)
     for r in range(slow.shape[0]):
         f = init_forest(p, 0.0, (0,) * N)
         run_until(f, p, T, rng)
-        slow[r] = _forest_end_sites(f, *pair)
-    tau, fast = forward._trace_pair(N, T, 200_000, philox(24, 0), pair)
+        slow[r] = _forest_end_sites(f, 0, 1)
+    tau, fast = forward._trace_pair(N, T, 200_000, philox(24, 0))
     assert np.array_equal(fast[:, 0] == fast[:, 1], tau > 0.0)
     for a in range(N):
         for b in range(N):
@@ -337,9 +328,6 @@ def _check_pair_validation(sample):
 def test_neutral_sampler_validation():
     _check_pair_validation(
         lambda N, T, reps: neutral_pair_distance_samples(N, T, reps, seed=0))
-    for pair in ((0, 0), (0, 3), (-1, 0)):
-        with pytest.raises(ParamError, match="distinct sites inside the population"):
-            neutral_pair_distance_samples(3, 1.0, 10, seed=0, pair=pair)
 
 
 def test_agreement_sampler_validation():

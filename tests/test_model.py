@@ -235,23 +235,23 @@ def test_count_chain_law_matches_dense_solve():
 
 @pytest.mark.parametrize("N", [200, 201])
 def test_law_logs_finite_where_weights_underflow(N):
-    # at S = N the weight of k = 0 is about e^-1000: it underflows, while
-    # its log must not
+    # at S = N the weight of k = 0 is about e^-1000: the law is formed from
+    # the product form's logs, which stay finite, so that weight underflows
+    # to 0 while the others keep their bits
     p = mk(N, S=float(N), b=((0.5, 0.5), (0.5, 0.5)))
     law = finite_stationary_law(p)
-    log_w = law.log_weights
+    ks = np.arange(N + 1, dtype=float)
+    lam = (N - ks) * 0.5 + ks * (N - ks)
+    mu = ks * 0.5
+    c = np.cumsum(np.r_[0.0, np.log(lam[:-1]) - np.log(mu[1:])])
+    log_w = c - logsumexp(c)
     assert np.all(np.isfinite(log_w)) and law.weights[0] == 0.0
     assert -1010.0 < log_w[0] < -990.0
-    assert logsumexp(log_w) == pytest.approx(0.0, abs=1e-12)
     # relative to the weight, or to the smallest normal float where the
     # weight is subnormal and holds fewer than 53 bits
     assert np.allclose(np.exp(log_w), law.weights, rtol=1e-12,
                        atol=1e-12 * np.finfo(float).tiny)
     # the weights are bit-identical to exp(shifted) / sum
-    ks = np.arange(N + 1, dtype=float)
-    lam = (N - ks) * 0.5 + ks * (N - ks)
-    mu = ks * 0.5
-    c = np.cumsum(np.r_[0.0, np.log(lam[:-1]) - np.log(mu[1:])])
     w = np.exp(c - c.max())
     w /= w.sum()
     assert np.array_equal(law.weights, w)
@@ -321,8 +321,8 @@ def test_law_occupation_monte_carlo():
 def test_pn_trivial_and_pinned():
     assert pn_probability(finite_stationary_law(mk(2)), 0, 0) == 1.0
     w = np.array([0.25, 0.5, 0.25])
-    law = model.StationaryTypeLaw(N=2, d=2, counts=((2, 0), (1, 1), (0, 2)),
-                                  weights=w, log_weights=np.log(w))
+    law = model.StationaryTypeLaw(p=mk(2), counts=((2, 0), (1, 1), (0, 2)),
+                                  weights=w)
     # only the (1,1) count state can yield an ordered (type1, type0) pair
     assert pn_probability(law, 1, 1) == pytest.approx(0.25, abs=1e-12)
 

@@ -1,6 +1,7 @@
 """The package exports exactly what its modules declare public, and
 loads only the scipy submodules that every run needs; the README's
-numerical notes name every numeric module constant."""
+numerical notes name every numeric module constant, and its config
+table every config key."""
 import ast
 import importlib
 import os
@@ -12,6 +13,7 @@ import sys
 import pytest
 
 import moranlines
+from moranlines import cli
 
 MODULES = ("model", "forward", "backward", "exact", "transformed", "reduced")
 
@@ -84,3 +86,15 @@ def test_numerical_notes_list_every_module_constant():
               for name in re.findall(r"`(\w+\.[A-Z][A-Z0-9_]*)`",
                                      line.split("|")[1])}
     assert defined == listed
+
+
+def test_config_table_lists_every_config_key():
+    # the runner refuses any key outside cli.CONFIG_KEYS and cli.MODEL_KEYS,
+    # so the README's config table names each of them, and only those
+    readme = (pathlib.Path(moranlines.__file__).resolve().parents[2]
+              / "README.md").read_text(encoding="utf-8")
+    table = readme.split("Config keys (JSON object):", 1)[1].split("\n\n")[1]
+    listed = {name for line in table.splitlines() if line.startswith("| `")
+              for name in re.findall(r"`([\w.]+)`", line.split("|")[1])}
+    assert listed == ({k for k in cli.CONFIG_KEYS if k != "model"}
+                      | {f"model.{k}" for k in cli.MODEL_KEYS})

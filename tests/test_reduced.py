@@ -458,14 +458,16 @@ def test_reduced_interface_errors(monkeypatch):
         table.f_value("10", 0, 0.4)
     with pytest.raises(ParamError, match="pinned count outside finite chain"):
         dist_survival(DistChainSpec.finite_n(p), (0.5,), (3,))
+    monkeypatch.setattr(reduced, "LADDER_START", 2)
     monkeypatch.setattr(reduced, "DIST_N_CAP", 4)
     monkeypatch.setattr(reduced, "DIST_CONV_TOL", 1e-12)
-    with pytest.raises(BudgetError, match="increase nMax"):
-        dist_survival(spec, (1.0,), (0,), n_max=2)
+    with pytest.raises(BudgetError, match="truncation unconverged at nMax cap"):
+        dist_survival(spec, (1.0,), (0,))
+    monkeypatch.setattr(reduced, "LADDER_START", 4)
     monkeypatch.setattr(reduced, "CAT_N_CAP", 8)
     monkeypatch.setattr(reduced, "CAT_TAIL_TOL", 1e-30)
     with pytest.raises(BudgetError, match="tail bound unmet"):
-        cat_equilibrium(CatChainSpec.limit(p), n_max=4)
+        cat_equilibrium(CatChainSpec.limit(p))
     with pytest.raises(ParamError, match="limit mode needs an explicit"):
         cat_generator(CatChainSpec.limit(p))
     with pytest.raises(ParamError, match="population of at least two"):
@@ -518,7 +520,10 @@ def test_finite_cat_chain_at_the_cap_builds_one_row_per_n(monkeypatch):
 
 def test_finite_chains_refuse_a_law_of_another_model():
     p = mk(5, b=PI, S=1.0)
-    for other in (mk(8, b=PI, S=1.0), mk(5, d=3, chi=(0.0, 0.5, 1.0))):
+    # another N, another d, and only another S (whose law once gave the
+    # ancestor-type marginal (0.032, 0.968) where (0.162, 0.838) is right)
+    for other in (mk(8, b=PI, S=1.0), mk(5, d=3, chi=(0.0, 0.5, 1.0)),
+                  mk(5, b=PI, S=3.0)):
         law = model.finite_stationary_law(other)
         for cls in (CatChainSpec, DistChainSpec):
             with pytest.raises(ParamError, match="law of another model"):
@@ -539,24 +544,13 @@ def test_cat_ladder_top_level_within_dense_budget(monkeypatch):
         return real_zeros(shape, *args, **kwargs)
 
     monkeypatch.setattr(np, "zeros", guarded_zeros)
-    eq = cat_equilibrium(CatChainSpec.limit(mk(10, b=PI, S=1.0)),
-                         n_max=reduced.CAT_N_CAP)
+    monkeypatch.setattr(reduced, "LADDER_START", reduced.CAT_N_CAP)
+    eq = cat_equilibrium(CatChainSpec.limit(mk(10, b=PI, S=1.0)))
     assert eq.n_top == reduced.CAT_N_CAP
     assert sum(eq.marginal) == pytest.approx(1.0, abs=1e-12)
 
 
-def test_truncation_start_below_one_refused():
-    # n_max = 0 once hung cat_equilibrium (0 doubles to 0) and let
-    # dist_survival "converge" on a 0-level ladder against itself
-    p = mk(4, b=PI, S=1.0)
-    for n_max in (0, -3):
-        with pytest.raises(ParamError, match="n_max must be at least 1"):
-            cat_equilibrium(CatChainSpec.limit(p), n_max=n_max)
-        with pytest.raises(ParamError, match="n_max must be at least 1"):
-            dist_survival(DistChainSpec.limit(p), (2.0,), (0,), n_max=n_max)
-
-
-def test_limit_chain_levels_checked_before_building():
+def test_limit_chain_levels_checked_before_building(monkeypatch):
     spec = DistChainSpec.limit(mk(4, b=PI, S=1.0))
     with pytest.raises(ParamError, match="pinned count must be nonnegative"):
         dist_survival(spec, (2.0,), (-1,))
@@ -566,9 +560,9 @@ def test_limit_chain_levels_checked_before_building():
     # past its cap a ladder is refused before any level of that size is
     # built
     with pytest.raises(BudgetError, match="nMax cap"):
-        cat_equilibrium(CatChainSpec.limit(spec.p),
-                        n_max=reduced.CAT_N_CAP * 2)
-    with pytest.raises(BudgetError, match="nMax cap"):
         dist_survival(spec, (2.0,), (reduced.DIST_N_CAP,))
     with pytest.raises(BudgetError, match="nMax cap"):
         dist_taylor_coeffs(spec, order=reduced.DIST_N_CAP)
+    monkeypatch.setattr(reduced, "LADDER_START", reduced.CAT_N_CAP * 2)
+    with pytest.raises(BudgetError, match="nMax cap"):
+        cat_equilibrium(CatChainSpec.limit(spec.p))

@@ -32,8 +32,7 @@ def test_constant_weights_reproduce_base_rates():
     p = mk(3, S=1.0, b=((0.7, 0.3), (0.2, 0.8)))
     start = canonical_start(p, {0: 0, 1: 1})
     gen = build_bp_generator(p, start)
-    kernel = HTransformedKernel(p=p, mode="homogeneous", gen=gen,
-                                h=np.ones(gen.n))
+    kernel = HTransformedKernel(p=p, gen=gen, h=np.ones(gen.n))
     for state in gen.states[:6]:
         base = enumerate_transitions(state, p)
         got = transformed_rates(kernel, state)
@@ -244,7 +243,7 @@ def test_distinct_types_never_merge_without_mutation():
     rng = philox(34, 0)
     cache = {}
     for _ in range(500):
-        path = sample_transformed_path(kernel, start, rng, cache=cache)
+        path = sample_transformed_path(kernel, start, rng, 1.0, cache=cache)
         assert first_coalescence_time(path) == math.inf
 
 
@@ -364,8 +363,6 @@ def test_interface_errors():
         sample_transformed_path(ik, pair, rng, t_end=3.0)
 
     hk = make_homogeneous_kernel(p, pair, law=finite_stationary_law(p))
-    with pytest.raises(ParamError, match="explicit horizon required"):
-        sample_transformed_path(hk, pair, rng)
     outside = canonical_start(mk(2, d=3), {0: 2, 1: 2})
     with pytest.raises(ParamError, match="outside the kernel's reachable set"):
         hk.h_value(outside)
