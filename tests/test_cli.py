@@ -522,8 +522,15 @@ RUN_BAD_CASES = [
      "pinned count must be nonnegative"),
     ("empty_ns", "taylor-report", {**TAYLOR_CFG, "ns": []},
      "at least one pinned count"),
-    # the limit ladders start at reduced.LADDER_START, which no config sets
+    # the limit ladders start at reduced.LADDER_START, which no config sets:
+    # n_max is refused as an unknown key whatever its value
     ("stale_n_max", "survival-table", {**SURVIVAL_CFG, "n_max": 8},
+     "unknown config key 'n_max'"),
+    ("zero_n_max_cat", "cat-equilibrium", {**CAT_CFG, "n_max": 0},
+     "unknown config key 'n_max'"),
+    ("negative_n_max_cat", "cat-equilibrium", {**CAT_CFG, "n_max": -3},
+     "unknown config key 'n_max'"),
+    ("zero_n_max_survival", "survival-table", {**SURVIVAL_CFG, "n_max": 0},
      "unknown config key 'n_max'"),
 ]
 
