@@ -27,7 +27,8 @@ from .exact import (DualityReport, GeneratorMatrix, build_bp_generator,
                     expm_apply, harmonic_residual, permute_bp_state,
                     permute_type_config)
 from .transformed import (ConditionedSample, FunctionalCheck, HTTable,
-                          HTransformedKernel, conditioned_functional_check,
+                          HTransformedKernel, conditioned_coalescence_times,
+                          conditioned_functional_check,
                           first_coalescence_time, forest_line,
                           make_homogeneous_kernel, make_inhomogeneous_kernel,
                           sample_conditioned_lines, sample_config,
@@ -65,7 +66,7 @@ __all__ = [
     "harmonic_residual", "permute_bp_state", "permute_type_config",
     # transformed
     "ConditionedSample", "FunctionalCheck", "HTTable", "HTransformedKernel",
-    "conditioned_functional_check", "first_coalescence_time", "forest_line",
+    "conditioned_coalescence_times", "conditioned_functional_check", "first_coalescence_time", "forest_line",
     "make_homogeneous_kernel", "make_inhomogeneous_kernel",
     "sample_conditioned_lines", "sample_config", "sample_transformed_path",
     "transformed_rates",

@@ -7,7 +7,7 @@ plotdata.csv, then finalizes a manifest.csv (config hash, package
 version, wall time, per-output checksums) atomically so a complete
 manifest implies complete outputs.  Output bodies are deterministic for
 a fixed config: reruns are byte-identical, and replicate randomness
-comes from counter-based streams keyed (seed, replicate or block index),
+comes from counter-based streams keyed (seed, k) for replicate block k,
 except for forward-distance at S = 0, whose pair tracer draws every
 replicate from one stream keyed seed in a single process, whatever the
 worker count.  The worker count never changes results.
@@ -38,11 +38,10 @@ from .model import (BudgetError, ModelParams, ParamError, validate_params,
                     wf_single_moment)
 from .backward import canonical_start
 from .exact import _check_type_chain, duality_reports
-from .forward import (genealogical_distance, init_forest,
+from .forward import (BLOCK_REPS, genealogical_distance, init_forest,
                       neutral_pair_distance_samples, pair_block_count,
                       pair_distance_samples, run_until)
-from .transformed import (first_coalescence_time, make_inhomogeneous_kernel,
-                          sample_transformed_path)
+from .transformed import conditioned_coalescence_times
 from .reduced import (CatChainSpec, DistChainSpec, Y_STATES, cat_equilibrium,
                       chains_vs_bp, dist_survival, dist_taylor_coeffs)
 
@@ -276,16 +275,15 @@ def _write_survival(out: str, name: str, series: str, times, survives):
                   [(series, t, est) for t, est, _se in rows])
 
 
-def _fan_out(chunk_fn, args: tuple, units: int, workers: int) -> np.ndarray:
-    """chunk_fn(*args, unit_indices) over units 0..units-1, split into
-    contiguous runs across at most `workers` processes.  A unit is a
-    replicate or a block of replicates that seeds its own stream, and the
-    runs come back in unit order, so the worker count never changes the
-    result."""
-    workers = min(workers, units)
+def _fan_out(chunk_fn, args: tuple, blocks: int, workers: int) -> np.ndarray:
+    """chunk_fn(*args, block_indices) over blocks 0..blocks-1, split into
+    contiguous runs across at most `workers` processes.  A block of
+    replicates seeds its own stream, and the runs come back in block
+    order, so the worker count never changes the result."""
+    workers = min(workers, blocks)
     if workers <= 1:
-        return np.array(chunk_fn(*args, range(units)), dtype=float)
-    bounds = [units * k // workers for k in range(workers + 1)]
+        return np.array(chunk_fn(*args, range(blocks)), dtype=float)
+    bounds = [blocks * k // workers for k in range(workers + 1)]
     with ProcessPoolExecutor(max_workers=workers) as ex:
         parts = ex.map(functools.partial(chunk_fn, *args),
                        [range(a, b) for a, b in zip(bounds, bounds[1:])])
@@ -329,20 +327,6 @@ def _exp_forward_distance(cfg: ExperimentConfig, out: str) -> list:
             "plotdata.csv"]
 
 
-def _conditioned_chunk(p, T, seed, tagged, nu, reps) -> list:
-    # only the coalescence time is read, so the paths are not turned into
-    # lines; one kernel, start and table cache serve the whole chunk
-    kernel = make_inhomogeneous_kernel(p, nu, T)
-    start = canonical_start(p, tagged)
-    cache: dict = {}
-    out = []
-    for rep in reps:
-        rng = np.random.Generator(np.random.Philox(key=(seed, rep)))
-        path = sample_transformed_path(kernel, start, rng, T, cache=cache)
-        out.append(first_coalescence_time(path))
-    return out
-
-
 def _exp_conditioned(cfg: ExperimentConfig, out: str) -> list:
     p = cfg.model
     T = cfg.horizon
@@ -351,8 +335,9 @@ def _exp_conditioned(cfg: ExperimentConfig, out: str) -> list:
     if any(not (0 <= j < p.N) for j in tagged):
         raise ParamError("tagged sites must lie in the population")
     nu = _start_law(cfg)
-    sigmas = _fan_out(_conditioned_chunk, (p, T, cfg.seed, tagged, nu),
-                      cfg.replicates, cfg.workers)
+    sigmas = _fan_out(conditioned_coalescence_times,
+                      (p, T, cfg.replicates, cfg.seed, tagged, nu),
+                      -(-cfg.replicates // BLOCK_REPS), cfg.workers)
 
     _write_survival(out, "conditioned_survival.csv", "conditioned-survival",
                     times, lambda t: sigmas > t)

@@ -82,7 +82,7 @@ class _ChainSpec:
     law: StationaryTypeLaw | None = None
 
     @classmethod
-    def finite_n(cls, p: ModelParams, law=None, **flags):
+    def finite_n(cls, p: ModelParams, law=None):
         validate_params(p)
         two_type_mutation_rates(p)
         if p.N < cls._min_N:
@@ -91,13 +91,13 @@ class _ChainSpec:
             law = finite_stationary_law(p)
         elif law.p != p:
             raise ParamError("stationary law of another model")
-        return cls(p=p, law=law, **flags)
+        return cls(p=p, law=law)
 
     @classmethod
-    def limit(cls, p: ModelParams, **flags):
+    def limit(cls, p: ModelParams):
         validate_params(p)
         two_type_mutation_rates(p)
-        return cls(p=p, **flags)
+        return cls(p=p)
 
     def prob(self, ones: int, zeros: int) -> float:
         value = (pn_probability(self.law, ones, zeros) if self.law is not None
@@ -110,11 +110,7 @@ class _ChainSpec:
 
 @dataclass(frozen=True)
 class CatChainSpec(_ChainSpec):
-    """Ancestor-type chain on (mark u, pinned count n).  fearnhead_up
-    switches to the comparison variant whose up-rate drops the (n+1)
-    factor."""
-
-    fearnhead_up: bool = False
+    """Ancestor-type chain on (mark u, pinned count n)."""
 
 
 @dataclass(frozen=True)
@@ -139,9 +135,8 @@ def _cat_rates(spec: CatChainSpec, u: int, n: int, n_top: int) -> list:
     den = spec.prob(u, n + 1 - u)
     out = []
     if n < n_top:
-        fac = 1.0 if spec.fearnhead_up else float(n + 1)
         fin = (N - 1.0 - n) / N if finite else 1.0
-        rate = S * fac * fin * spec.prob(u, n + 2 - u) / den
+        rate = S * (n + 1) * fin * spec.prob(u, n + 2 - u) / den
         if rate > 0.0:
             out.append(((u, n + 1), rate))
     coef = B * b0 * n + math.comb(n + 1 - u, 2) * ((N - S) / N if finite else 1.0)

@@ -10,10 +10,12 @@ compatibility with the observed sample types.  Two flavours:
 * inhomogeneous, using the time-indexed averages h^T(t, .) built from an
   arbitrary start law and a horizon T.
 
-The inhomogeneous sampler thins proposals against a dominating rate that
+The inhomogeneous samplers thin proposals against a dominating rate that
 is exact for the tabulated field: between grid knots every transition
 rate is a ratio of two linear functions of time, hence monotone, so the
-supremum over any span is attained at a knot.
+supremum over any span is attained at a knot.  `sample_transformed_path`
+draws one path at a time; `conditioned_coalescence_times` advances a
+block of replicates together and reads only their first merge.
 """
 from __future__ import annotations
 
@@ -30,7 +32,7 @@ from .backward import (BpPath, BpState, BpTransition, LinePath, _jump_path,
 from .exact import (GeneratorMatrix, _project, _type_configs,
                     build_bp_generator, build_type_generator, compute_h,
                     config_law_vector, expm_apply)
-from .forward import LineageForest, init_forest, run_until
+from .forward import BLOCK_REPS, LineageForest, init_forest, run_until
 
 __all__ = [
     "HTTable",
@@ -39,6 +41,7 @@ __all__ = [
     "make_inhomogeneous_kernel",
     "transformed_rates",
     "sample_transformed_path",
+    "conditioned_coalescence_times",
     "sample_conditioned_lines",
     "ConditionedSample",
     "first_coalescence_time",
@@ -49,6 +52,61 @@ __all__ = [
 ]
 
 HT_STEP = 1e-3  # largest grid step of the horizon tables
+STORE_CHUNK_BYTES = 8 * 2**20  # bytes per chunk of a _RowStore
+
+
+class _RowStore:
+    """Float rows of one width, appended into chunks of a fixed row count.
+
+    A row never moves once written, so a view of it stays valid and
+    growing copies nothing; a chunk's pages are touched only as rows are
+    written into it.
+    """
+
+    def __init__(self, width: int):
+        self.width = width
+        self.chunk = max(1, STORE_CHUNK_BYTES // (8 * width))
+        self.chunks = []
+        self.n = 0
+
+    def append(self, rows: np.ndarray) -> range:
+        """Store the rows of a 2-D array; returns their ids."""
+        first, done = self.n, 0
+        while done < len(rows):
+            c, r = divmod(self.n, self.chunk)
+            if c == len(self.chunks):
+                self.chunks.append(np.empty((self.chunk, self.width)))
+            m = min(self.chunk - r, len(rows) - done)
+            self.chunks[c][r:r + m] = rows[done:done + m]
+            done += m
+            self.n += m
+        return range(first, self.n)
+
+    def row(self, i: int) -> np.ndarray:
+        c, r = divmod(i, self.chunk)
+        return self.chunks[c][r]
+
+    def rows(self, ids: np.ndarray) -> np.ndarray:
+        """Copy of the rows ids, as a len(ids) x width array."""
+        c, r = np.divmod(ids, self.chunk)
+        if len(self.chunks) == 1:
+            return self.chunks[0][r]
+        out = np.empty((len(ids), self.width))
+        for j in np.unique(c):
+            m = c == j
+            out[m] = self.chunks[j][r[m]]
+        return out
+
+    def at(self, ids: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """Entries (ids[i], cols[i, q]), as an array shaped like cols."""
+        c, r = np.divmod(ids, self.chunk)
+        if len(self.chunks) == 1:
+            return self.chunks[0][r[:, None], cols]
+        out = np.empty(cols.shape)
+        for j, chunk in enumerate(self.chunks):
+            m = c == j
+            out[m] = chunk[r[m, None], cols[m]]
+        return out
 
 
 class HTTable:
@@ -85,15 +143,26 @@ class HTTable:
         for k in range(n - 1, -1, -1):
             rho[k] = expm_apply(type_gen, rho[k + 1], self.step, transpose=True)
         self.rho = rho
-        self._proj = {}
+        self.store = _RowStore(n + 1)  # one series per row
+        self._proj = {}  # state -> its row of the store
+
+    def project(self, states) -> list:
+        """Rows of the store holding the series of `states`, projecting
+        the ones not stored yet.  Each series is its own matrix-vector
+        product: a matrix product over a batch of states rounds a state's
+        series differently with the batch's width, which would make the
+        samplers' draws depend on the order states were first reached."""
+        new = [s for s in dict.fromkeys(states) if s not in self._proj]
+        for i in range(0, len(new), self.store.chunk):
+            part = new[i:i + self.store.chunk]
+            series = [_project(self.rho, s, self.configs_arr, self.p.d)
+                      for s in part]
+            self._proj.update(zip(part, self.store.append(np.array(series))))
+        return [self._proj[s] for s in states]
 
     def series(self, state: BpState) -> np.ndarray:
         """Indicator average of `state` at every grid time."""
-        ser = self._proj.get(state)
-        if ser is None:
-            ser = _project(self.rho, state, self.configs_arr, self.p.d)
-            self._proj[state] = ser
-        return ser
+        return self.store.row(self.project((state,))[0])
 
     def value(self, t: float, state: BpState) -> float:
         if not (0.0 <= t <= self.T):
@@ -234,6 +303,168 @@ def sample_transformed_path(kernel: HTransformedKernel, start: BpState, rng,
         state = chosen.target
     return BpPath(initial=start, events=tuple(events), horizon=t_end,
                   params=kernel.p)
+
+
+class _BlockTables:
+    """Thinning tables of `conditioned_coalescence_times`, built for the
+    states a round reaches first.
+
+    Every state a replicate can enter gets a state id and, at once, its
+    series row in the horizon table's store.  A built state also gets a
+    table id, which indexes its rows of `num` (the numerator series, sum
+    of rate * target series) and `suffix_max` (the suffix maximum of the
+    knot ratios num / den), and its segment ptr[tab]:ptr[tab + 1] of the
+    flat transition arrays: target state id, base rate, and whether the
+    target has fewer blocks (a merge).
+    """
+
+    def __init__(self, kernel: HTransformedKernel):
+        self.p = kernel.p
+        self.ht = kernel.ht
+        self.num = _RowStore(self.ht.store.width)
+        self.suffix_max = _RowStore(self.ht.store.width)
+        self.ids = {}
+        self.states = []
+        self.row = np.zeros(0, dtype=np.int64)  # state id -> series row
+        self.tab = np.zeros(0, dtype=np.int64)  # state id -> table id or -1
+        self.ptr = np.zeros(1, dtype=np.int64)
+        self.t_sid = np.zeros(0, dtype=np.int64)
+        self.t_rate = np.zeros(0)
+        self.t_merge = np.zeros(0, dtype=bool)
+
+    def sids(self, states) -> np.ndarray:
+        """State ids of `states`; the unseen ones are registered and their
+        series projected together."""
+        out, fresh = [], []
+        for s in states:
+            k = self.ids.get(s)
+            if k is None:
+                k = self.ids[s] = len(self.states)
+                self.states.append(s)
+                fresh.append(s)
+            out.append(k)
+        self.row = np.concatenate(
+            (self.row, np.array(self.ht.project(fresh), dtype=np.int64)))
+        self.tab = np.concatenate(
+            (self.tab, np.full(len(fresh), -1, dtype=np.int64)))
+        return np.array(out, dtype=np.int64)
+
+    def build(self, sids: np.ndarray) -> None:
+        """Build the tables of every state in sids that has none."""
+        new = np.unique(sids[self.tab[sids] < 0])
+        if not new.size:
+            return
+        sources = [self.states[k] for k in new]
+        trans = [enumerate_transitions(s, self.p) for s in sources]
+        flat = [(tr, len(s.blocks)) for s, ts in zip(sources, trans)
+                for tr in ts]
+        t_sid = self.sids([tr.target for tr, _ in flat])
+        t_rate = np.array([tr.rate for tr, _ in flat])
+        t_merge = np.array([len(set(tr.target.marks)) < n for tr, n in flat],
+                           dtype=bool)
+        sizes = np.array([len(ts) for ts in trans], dtype=np.int64)
+        ends = np.cumsum(sizes)
+        store = self.ht.store
+        num = np.empty((new.size, store.width))
+        for i, (a, b) in enumerate(zip(ends - sizes, ends)):
+            num[i] = t_rate[a:b] @ store.rows(self.row[t_sid[a:b]])
+        den = store.rows(self.row[new])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = np.where(den > 0.0, num / np.maximum(den, 1e-300), 0.0)
+        self.tab[new] = self.num.append(num)
+        self.suffix_max.append(
+            np.maximum.accumulate(ratio[:, ::-1], axis=1)[:, ::-1])
+        self.ptr = np.concatenate((self.ptr, ends + self.ptr[-1]))
+        self.t_sid = np.concatenate((self.t_sid, t_sid))
+        self.t_rate = np.concatenate((self.t_rate, t_rate))
+        self.t_merge = np.concatenate((self.t_merge, t_merge))
+
+
+def _coalescence_block(tables: _BlockTables, start: int, T: float, n: int,
+                       rng) -> np.ndarray:
+    """First coalescence times of n replicates started at state id start;
+    infinity for those that do not merge before T.
+
+    Each round, every live replicate proposes one time against the
+    suffix maximum at its current knot, which dominates its rate from
+    that knot to the horizon.  It stops once the proposal passes T or the
+    bound is 0.  An accepted proposal picks its transition with odds
+    rate * interpolated target series, and a merge retires the replicate.
+    """
+    ht = tables.ht
+    store, grid, step = ht.store, ht.grid, ht.step
+    last = len(grid) - 2
+    out = np.full(n, np.inf)
+    rep = np.arange(n)
+    t = np.zeros(n)
+    sid = np.full(n, start, dtype=np.int64)
+    while rep.size:
+        tables.build(sid)
+        tab = tables.tab[sid]
+        k = np.minimum((t / step).astype(np.int64), last)
+        lam = tables.suffix_max.at(tab, k[:, None])[:, 0]
+        t = t + rng.exponential(1.0 / np.where(lam > 0.0, lam, 1.0))
+        go = (lam > 0.0) & (t < T)
+        rep, t, sid, tab, lam = rep[go], t[go], sid[go], tab[go], lam[go]
+        if not rep.size:
+            break
+        k = np.minimum((t / step).astype(np.int64), last)
+        theta = (t - grid[k]) / step
+        cols = k[:, None] + (0, 1)
+        w = np.column_stack((1.0 - theta, theta))
+        den = (w * store.at(tables.row[sid], cols)).sum(axis=1)
+        if np.any(den <= 0.0):
+            raise ParamError("h positivity violated")
+        lam_t = (w * tables.num.at(tab, cols)).sum(axis=1) / den
+        acc = np.flatnonzero(rng.random(rep.size) * lam < lam_t)
+        if not acc.size:
+            continue
+        # the accepted replicates' transition segments, laid end to end
+        lo = tables.ptr[tab[acc]]
+        cnt = tables.ptr[tab[acc] + 1] - lo
+        ends = np.cumsum(cnt)
+        owner = np.repeat(np.arange(acc.size), cnt)
+        pos = np.arange(ends[-1]) + np.repeat(lo - (ends - cnt), cnt)
+        g = acc[owner]
+        weight = tables.t_rate[pos] * (
+            w[g] * store.at(tables.row[tables.t_sid[pos]], cols[g])).sum(axis=1)
+        cum = np.cumsum(weight)
+        base = np.concatenate(((0.0,), cum))[ends - cnt]
+        x = base + rng.random(acc.size) * (cum[ends - 1] - base)
+        chosen = pos[np.minimum(np.searchsorted(cum, x, side="right"),
+                                ends - 1)]
+        sid[acc] = tables.t_sid[chosen]
+        merged = acc[tables.t_merge[chosen]]
+        out[rep[merged]] = t[merged]
+        keep = np.ones(rep.size, dtype=bool)
+        keep[merged] = False
+        rep, t, sid = rep[keep], t[keep], sid[keep]
+    return out
+
+
+def conditioned_coalescence_times(p: ModelParams, T: float, reps: int,
+                                  seed: int, tagged: dict, nu,
+                                  blocks) -> np.ndarray:
+    """First coalescence times of the lines of the tagged sites, given
+    their types `tagged` (site -> type) at time 0, with the population
+    started from law nu at time -T; infinity where no two lines merge
+    within T.
+
+    The reps replicates fall into blocks of BLOCK_REPS, and block k
+    draws from the stream keyed (seed, k).  Only the block indices in
+    `blocks` run, and their times come back in that order.  The horizon
+    tables and the thinning tables are shared by the blocks of one call.
+    """
+    kernel = make_inhomogeneous_kernel(p, nu, T)
+    tables = _BlockTables(kernel)
+    start = tables.sids([canonical_start(p, tagged)])[0]
+    parts = []
+    for k in blocks:
+        rng = np.random.Generator(np.random.Philox(key=(seed, k)))
+        parts.append(_coalescence_block(
+            tables, start, kernel.ht.T, min(BLOCK_REPS, reps - k * BLOCK_REPS),
+            rng))
+    return np.concatenate(parts) if parts else np.zeros(0)
 
 
 @dataclass(frozen=True)

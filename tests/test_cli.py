@@ -122,6 +122,8 @@ CONDITIONED_CFG = {
 # three blocks of the agreement-time sampler at N = 3, so three workers
 # split them (the block count is checked in test_forward)
 BLOCKS_CFG = {**FORWARD_CFG, "replicates": 2 * BLOCK_REPS + 1}
+# three blocks of the conditioned sampler, one per worker at --workers 3
+CONDITIONED_BLOCKS_CFG = {**CONDITIONED_CFG, "replicates": 2 * BLOCK_REPS + 1}
 # at S = 0 the neutral tracer draws one stream keyed seed in one process,
 # whatever the worker count
 NEUTRAL_CFG = {**FORWARD_CFG, "model": {**FORWARD_CFG["model"], "S": 0.0}}
@@ -135,8 +137,11 @@ FORWARD_NAMES = ["distance_survival.csv", "trace.csv", "distances.csv",
     ("forward-distance", NEUTRAL_CFG, FORWARD_NAMES),
     ("conditioned-distance", CONDITIONED_CFG,
      ["conditioned_survival.csv", "plotdata.csv"]),
+    ("conditioned-distance", CONDITIONED_BLOCKS_CFG,
+     ["conditioned_survival.csv", "plotdata.csv"]),
 ], ids=["forward-distance", "forward-distance-blocks",
-        "forward-distance-neutral", "conditioned-distance"])
+        "forward-distance-neutral", "conditioned-distance",
+        "conditioned-distance-blocks"])
 def test_worker_count_never_changes_results(tmp_path, experiment, payload,
                                             names):
     cfg = write_cfg(tmp_path / "cfg.json", payload)

@@ -66,12 +66,8 @@ def generators() -> dict:
         gens[f"bp/{label}"] = build_bp_generator(p, _duality_starts(p))
     p = MODELS["n4pi"]
     law = finite_stationary_law(p)
-    for up in (False, True):
-        tag = "fearnhead" if up else "plain"
-        gens[f"cat/finite/{tag}"] = cat_generator(
-            CatChainSpec.finite_n(p, law=law, fearnhead_up=up))
-        gens[f"cat/limit/{tag}"] = cat_generator(
-            CatChainSpec.limit(p, fearnhead_up=up), n_top=6)
+    gens["cat/finite/plain"] = cat_generator(CatChainSpec.finite_n(p, law=law))
+    gens["cat/limit/plain"] = cat_generator(CatChainSpec.limit(p), n_top=6)
     for absorbed in (True, False):
         tag = "absorbed" if absorbed else "transient"
         gens[f"dist/finite/{tag}"] = dist_generator(

@@ -160,25 +160,6 @@ def test_equilibrium_matches_jump_chain_occupation():
         assert abs(mean - eq.pi[eq.states.index(st)]) <= band
 
 
-def test_comparison_up_rate_variant():
-    p = mk(8, b=PI, S=2.0)
-    std = cat_generator(CatChainSpec.finite_n(p))
-    alt = cat_generator(CatChainSpec.finite_n(p, fearnhead_up=True))
-    for u in (0, 1):
-        for n in range(7):
-            a = std.Q[std.index[(u, n)], std.index[(u, n + 1)]]
-            c = alt.Q[alt.index[(u, n)], alt.index[(u, n + 1)]]
-            assert a == pytest.approx((n + 1) * c, rel=1e-12)
-    m_std = cat_equilibrium(CatChainSpec.finite_n(p)).marginal[0]
-    m_alt = cat_equilibrium(CatChainSpec.finite_n(p, fearnhead_up=True)).marginal[0]
-    assert abs(m_std - m_alt) > 1e-4
-
-    p0 = mk(8, b=PI, S=0.0)
-    q_std = cat_generator(CatChainSpec.finite_n(p0)).Q.toarray()
-    q_alt = cat_generator(CatChainSpec.finite_n(p0, fearnhead_up=True)).Q.toarray()
-    assert np.array_equal(q_std, q_alt)
-
-
 def test_cat_chain_matches_lumped_backward():
     for S in (0.0, 1.0):
         p = mk(3, b=PI, S=S)

@@ -10,11 +10,13 @@ from scipy.stats import chi2
 
 import moranlines.model as model
 import moranlines.transformed as transformed
-from moranlines import (BudgetError, ParamError, canonical_start, cli,
+from moranlines import (BudgetError, ParamError, canonical_start,
                         enumerate_transitions, finite_stationary_law,
                         init_forest, make_state, path_value, run_until)
 from moranlines.exact import build_bp_generator
+from moranlines.forward import BLOCK_REPS
 from moranlines.transformed import (HTTable, HTransformedKernel,
+                                    conditioned_coalescence_times,
                                     conditioned_functional_check,
                                     first_coalescence_time, forest_line,
                                     make_homogeneous_kernel,
@@ -186,19 +188,115 @@ def test_homogeneous_sampler_draw_order_is_pinned():
 
 
 def test_inhomogeneous_sampler_stream_is_pinned():
-    # coalescence times of `conditioned-distance` replicates, recorded from
-    # a seeded run; a change in the order or number of the draws, or a
-    # shift of the thinning or event-choice odds, moves them
+    # coalescence times of per-path replicates on streams keyed (5, rep),
+    # recorded from a seeded run; a change in the order or number of the
+    # draws, or a shift of the thinning or event-choice odds, moves them
     p = mk(3, d=3, B=1.0, S=1.0)
     inf = float("inf")
-    got = cli._conditioned_chunk(p, 1.0, 5, {0: 0, 1: 2}, np.full(3, 1 / 3),
-                                 range(20))
+    kernel = make_inhomogeneous_kernel(p, np.full(3, 1 / 3), 1.0)
+    start = canonical_start(p, {0: 0, 1: 2})
+    cache: dict = {}
+    got = [first_coalescence_time(sample_transformed_path(
+        kernel, start, philox(5, rep), 1.0, cache=cache))
+        for rep in range(20)]
     assert got == [
         0.45072486291357783, inf, inf, 0.8955536981439961, inf, inf, inf,
         inf, 0.7876242633687965, 0.23696135334181184, inf,
         0.7752719387004713, inf, 0.4589690365102721, inf,
         0.8535625618269429, 0.38319037846642945, inf, 0.1003117693537816,
         inf]
+
+
+def test_block_sampler_stream_is_pinned():
+    # the first 20 coalescence times of block 0 (stream keyed (5, 0)) of
+    # the block sampler, recorded from a seeded run
+    p = mk(3, d=3, B=1.0, S=1.0)
+    got = conditioned_coalescence_times(p, 1.0, BLOCK_REPS, 5, {0: 0, 1: 2},
+                                        np.full(3, 1 / 3), [0])
+    inf = float("inf")
+    assert got.shape == (BLOCK_REPS,)
+    assert got[:20].tolist() == [
+        inf, inf, 0.3767120399360929, 0.1645917039742031, inf,
+        0.33186084331539784, inf, inf, inf, 0.6685709363952775,
+        0.17529389491396496, 0.45090686718733475, 0.644850326357597, inf,
+        0.5359632791621336, inf, 0.5924255920487931, inf, inf,
+        0.9910192252761312]
+
+
+def test_block_sampler_results_do_not_depend_on_the_block_split():
+    # a worker runs a contiguous run of blocks on tables built by the
+    # blocks before it in that run; every block must come out the same
+    p = mk(4, d=3, B=1.0, S=1.0, b=((0.6, 0.3, 0.1), (0.2, 0.5, 0.3),
+                                   (0.25, 0.25, 0.5)))
+    args = (p, 1.0, 3 * BLOCK_REPS - 5, 9, {0: 0, 1: 2}, np.full(3, 1 / 3))
+    whole = conditioned_coalescence_times(*args, range(3))
+    assert whole.shape == (3 * BLOCK_REPS - 5,)
+    for split in ([0], [1, 2]), ([0, 1], [2]):
+        parts = [conditioned_coalescence_times(*args, run) for run in split]
+        assert np.array_equal(np.concatenate(parts), whole)
+
+
+def test_block_sampler_matches_closed_form():
+    # criterion 06's model: N = 2, B = S = 0, uniform start law, both tags
+    # of type 0, so P(sigma > t) = (e^-t - e^-T / 2) / (1 - e^-T / 2)
+    p = mk(2, B=0.0)
+    T, reps = 2.0, 20_000
+    sigmas = conditioned_coalescence_times(
+        p, T, reps, 616, {0: 0, 1: 0}, (0.5, 0.5),
+        range(-(-reps // BLOCK_REPS)))
+    assert sigmas.shape == (reps,)
+    scale = 1.0 - 0.5 * math.exp(-T)
+    for t in (0.5, 1.0):
+        want = (math.exp(-t) - 0.5 * math.exp(-T)) / scale
+        z = (np.mean(sigmas > t) - want) / math.sqrt(want * (1 - want) / reps)
+        assert abs(z) <= 3.0
+
+
+def test_block_sampler_matches_per_path_sampler():
+    # the same conditioned law drawn both ways at N = 3, d = 3, S = 1;
+    # two-sample z-scores of the survival at fixed times
+    p = mk(3, d=3, B=1.0, S=1.0, b=((0.6, 0.3, 0.1), (0.2, 0.5, 0.3),
+                                   (0.25, 0.25, 0.5)))
+    nu, T, tagged = (0.5, 0.3, 0.2), 1.0, {0: 0, 1: 2}
+    blocks = conditioned_coalescence_times(p, T, 4 * BLOCK_REPS, 617, tagged,
+                                           nu, range(4))
+    kernel = make_inhomogeneous_kernel(p, nu, T)
+    start = canonical_start(p, tagged)
+    rng = philox(618, 0)
+    cache: dict = {}
+    paths = np.array([first_coalescence_time(sample_transformed_path(
+        kernel, start, rng, T, cache=cache)) for _ in range(4000)])
+    for t in (0.25, 0.5, 0.75):
+        a, b = np.mean(blocks > t), np.mean(paths > t)
+        se = math.sqrt(a * (1 - a) / blocks.size + b * (1 - b) / paths.size)
+        assert abs(a - b) <= 3.0 * se
+
+
+def test_block_sampler_refuses_vanishing_h(monkeypatch):
+    # the horizon law of the first half of the grid is moved onto (1, 1),
+    # which no state reached from two type-0 tags is compatible with: the
+    # denominator vanishes where proposals land, while the suffix maximum,
+    # read from the second half, stays positive.  Both samplers refuse.
+    p = mk(2, B=0.0)
+    make = transformed.make_inhomogeneous_kernel
+
+    def tampered(p, nu, T):
+        kernel = make(p, nu, T)
+        ht = kernel.ht
+        half = len(ht.grid) // 2
+        ht.rho[:half] = (ht.configs_arr == 1).all(axis=1)
+        return kernel
+
+    monkeypatch.setattr(transformed, "make_inhomogeneous_kernel", tampered)
+    with pytest.raises(ParamError, match="h positivity violated"):
+        conditioned_coalescence_times(p, 2.0, 100, 5, {0: 0, 1: 0},
+                                      (0.5, 0.5), [0])
+    kernel = tampered(p, (0.5, 0.5), 2.0)
+    start = canonical_start(p, {0: 0, 1: 0})
+    rng = philox(39, 0)
+    with pytest.raises(ParamError, match="h positivity violated"):
+        for _ in range(100):
+            sample_transformed_path(kernel, start, rng, 2.0)
 
 
 def test_conditioned_line_endpoints():
