@@ -15,8 +15,7 @@ from .model import (BudgetError, ModelParams, ParamError, StationaryTypeLaw,
 from .forward import (ForestNode, HmmEvent, LineageForest, cat_fixation_type,
                       genealogical_distance, init_forest,
                       neutral_pair_distance_samples, pair_block_count,
-                      pair_distance_samples, path_value, run_until,
-                      simulate_types, step_forest)
+                      pair_distance_samples, path_value, run_until)
 from .backward import (BpPath, BpState, BpTransition, LinePath,
                        TRANSITION_KINDS, canonical_start,
                        enumerate_transitions, feynman_kac_V, make_state,
@@ -53,8 +52,7 @@ __all__ = [
     "ForestNode", "HmmEvent", "LineageForest", "cat_fixation_type",
     "genealogical_distance",
     "init_forest", "neutral_pair_distance_samples", "pair_block_count",
-    "pair_distance_samples", "path_value", "run_until", "simulate_types",
-    "step_forest",
+    "pair_distance_samples", "path_value", "run_until",
     # backward
     "BpPath", "BpState", "BpTransition", "LinePath", "TRANSITION_KINDS",
     "canonical_start", "enumerate_transitions", "feynman_kac_V", "make_state",

@@ -12,13 +12,13 @@ two lines last agreed; lines agree exactly while they traverse the same
 node, which reduces the distance to a walk up the two parent chains.
 
 `_step_at` is the single place that draws and applies an event to a
-forest; the forest runners, the common-ancestor tracer and the type-only
-simulator all advance through it, so they share one event law and one
-draw order.  Two samplers read only one pair's distance and keep no
-forest: `neutral_pair_distance_samples` traces the pair's two lines
-backward (S = 0 only), and `pair_distance_samples` runs blocks of
-replicates forward under `_step_at`'s event law, carrying only the types
-and the times at which each two lines last agreed.
+forest; the forest runner and the common-ancestor tracer both advance
+through it, so they share one event law and one draw order.  Two
+samplers read only one pair's distance and keep no forest:
+`neutral_pair_distance_samples` traces the pair's two lines backward
+(S = 0 only), and `pair_distance_samples` runs blocks of replicates
+forward under `_step_at`'s event law, carrying only the types and the
+times at which each two lines last agreed.
 """
 from __future__ import annotations
 
@@ -35,12 +35,10 @@ __all__ = [
     "HmmEvent",
     "LineageForest",
     "init_forest",
-    "step_forest",
     "run_until",
     "path_value",
     "genealogical_distance",
     "cat_fixation_type",
-    "simulate_types",
     "neutral_pair_distance_samples",
     "pair_block_count",
     "pair_distance_samples",
@@ -151,24 +149,12 @@ def _step_at(forest: LineageForest, p: ModelParams, rng, t: float) -> HmmEvent:
     return HmmEvent(kind="resample", time=t, src=src, dst=dst)
 
 
-def step_forest(forest: LineageForest, p: ModelParams, rng):
-    """Apply one event at an exponential holding time; returns the forest
-    (advanced in place) together with the event.
-
-    Total event rate is N*B + N^2/2 exactly: mutation events include the
-    no-op target (the current type), and resampling runs over all ordered
-    site pairs including self-pairs, whose tilted rates average to 1/2.
-    """
-    total = p.N * p.B + p.N * p.N / 2.0
-    evt = _step_at(forest, p, rng, forest.now + rng.exponential(1.0 / total))
-    return forest, evt
-
-
 def run_until(forest: LineageForest, p: ModelParams, T: float, rng,
               trace: list | None = None) -> LineageForest:
     """Evolve in place until the clock reads exactly T; the final holding
     interval is truncated so no event lands beyond T.  A trace list, if
-    given, collects every applied HmmEvent."""
+    given, collects every applied HmmEvent.  The total event rate
+    N*B + N^2/2 counts no-op mutations and self-copies."""
     if T < forest.now:
         raise ParamError("horizon before current time")
     total = p.N * p.B + p.N * p.N / 2.0
@@ -271,11 +257,6 @@ def cat_fixation_type(p: ModelParams, c: float, types, t: float, rng):
                 return frozen[first]
 
 
-def simulate_types(p: ModelParams, types, T: float, rng) -> tuple:
-    """Type configuration at time T of a population started at time 0."""
-    return tuple(run_until(init_forest(p, 0.0, types), p, T, rng).current_types)
-
-
 def _check_pair_args(N: int, T: float, reps: int) -> float:
     """Validate a pair-distance request; returns the horizon as a float."""
     if N < 2:
@@ -339,6 +320,20 @@ def neutral_pair_distance_samples(N: int, T: float, reps: int,
     return 2.0 * (T - tau)
 
 
+def _check_blocks(reps: int, size: int, blocks) -> list:
+    """`blocks` as a list; ParamError for a negative reps, or for an
+    index outside 0..ceil(reps / size) - 1 (blocks of `size` replicates)."""
+    if reps < 0:
+        raise ParamError("replicate count must be nonnegative")
+    count = -(-reps // size)
+    blocks = list(blocks)
+    for k in blocks:
+        if not 0 <= k < count:
+            raise ParamError(f"block index {k} outside the {count} blocks "
+                             f"of {reps} replicates")
+    return blocks
+
+
 def _block_size(N: int) -> int:
     """BLOCK_REPS, or fewer when a block's N x N agreement-time matrices
     would exceed DENSE_SOLVE_BYTES; BudgetError when even one would."""
@@ -369,11 +364,13 @@ def pair_distance_samples(p: ModelParams, T: float, reps: int, seed: int,
     replicates fall into `pair_block_count(N, reps)` blocks of
     BLOCK_REPS (fewer at large N); block k draws from the stream keyed
     (seed, k).  Only the block indices in `blocks` run, and their
-    replicates come back in that order.
+    replicates come back in that order; an index outside the reps
+    replicates' blocks is refused.
     """
     validate_params(p)
     T = _check_pair_args(p.N, T, reps)
     size = _block_size(p.N)
+    blocks = _check_blocks(reps, size, blocks)
     parts = []
     for k in blocks:
         rng = np.random.Generator(np.random.Philox(key=(seed, k)))

@@ -13,9 +13,10 @@ compatibility with the observed sample types.  Two flavours:
 The inhomogeneous samplers thin proposals against a dominating rate that
 is exact for the tabulated field: between grid knots every transition
 rate is a ratio of two linear functions of time, hence monotone, so the
-supremum over any span is attained at a knot.  `sample_transformed_path`
-draws one path at a time; `conditioned_coalescence_times` advances a
-block of replicates together and reads only their first merge.
+supremum over any span is attained at a knot.  Both read the thinning
+tables of the kernel's `HTTable`.  `sample_transformed_path` draws one
+path at a time; `conditioned_coalescence_times` advances a block of
+replicates together and reads only their first merge.
 """
 from __future__ import annotations
 
@@ -27,12 +28,14 @@ import numpy as np
 
 from .model import (DENSE_SOLVE_BYTES, BudgetError, ModelParams, ParamError,
                     validate_params)
-from .backward import (BpPath, BpState, BpTransition, LinePath, _jump_path,
-                       canonical_start, enumerate_transitions, reverse_to_lines)
+from .backward import (TRANSITION_KINDS, BpPath, BpState, BpTransition,
+                       LinePath, _jump_path, canonical_start,
+                       enumerate_transitions, reverse_to_lines)
 from .exact import (GeneratorMatrix, _project, _type_configs,
                     build_bp_generator, build_type_generator, compute_h,
                     config_law_vector, expm_apply)
-from .forward import BLOCK_REPS, LineageForest, init_forest, run_until
+from .forward import (BLOCK_REPS, LineageForest, _check_blocks, init_forest,
+                      run_until)
 
 __all__ = [
     "HTTable",
@@ -110,7 +113,7 @@ class _RowStore:
 
 
 class HTTable:
-    """Grid table of the time-indexed indicator averages.
+    """Time-indexed indicator averages on a grid, with thinning tables.
 
     Stores the forward type law on a uniform backward-time grid over
     [0, T] (step at most HT_STEP; endpoints exact) and serves linearly
@@ -119,6 +122,13 @@ class HTTable:
     exact single-time values should use the direct computation instead.
     The table holds (grid points) x d^N floats; above DENSE_SOLVE_BYTES
     it is refused before the type chain is built or stepped.
+
+    A state's id is its row of `store`, its series at every grid time.
+    Once `build` has reached a state, tab[sid] indexes its rows of `num`
+    (sum of rate * target series) and `suffix_max` (suffix maximum of the
+    knot ratios num / den), and its segment ptr[tab]:ptr[tab + 1] of the
+    flat arrays t_sid, t_rate, t_kind (an index into TRANSITION_KINDS)
+    and t_merge (whether the target has fewer blocks).
     """
 
     def __init__(self, p: ModelParams, mu, T: float):
@@ -134,40 +144,84 @@ class HTTable:
         self.T = float(T)
         self.grid = np.linspace(0.0, T, n + 1)
         self.step = T / n
-        mu_vec = config_law_vector(p, mu, type_gen.states)
         self.configs_arr = np.array(type_gen.states, dtype=np.int64)
         # rho[k] = law of the types after running the forward chain for
         # time T - grid[k]; built by stepping the transposed semigroup
         rho = np.empty((n + 1, len(type_gen.states)))
-        rho[n] = mu_vec
+        rho[n] = config_law_vector(p, mu, type_gen.states)
         for k in range(n - 1, -1, -1):
             rho[k] = expm_apply(type_gen, rho[k + 1], self.step, transpose=True)
         self.rho = rho
-        self.store = _RowStore(n + 1)  # one series per row
-        self._proj = {}  # state -> its row of the store
+        self.store = _RowStore(n + 1)
+        self.ids = {}
+        self.states = []
+        self.num = _RowStore(n + 1)
+        self.suffix_max = _RowStore(n + 1)
+        self.tab = np.zeros(0, dtype=np.int64)  # state id -> table id or -1
+        self.ptr = np.zeros(1, dtype=np.int64)
+        self.t_sid = np.zeros(0, dtype=np.int64)
+        self.t_rate = np.zeros(0)
+        self.t_kind = np.zeros(0, dtype=np.int8)
+        self.t_merge = np.zeros(0, dtype=bool)
 
-    def project(self, states) -> list:
-        """Rows of the store holding the series of `states`, projecting
-        the ones not stored yet.  Each series is its own matrix-vector
-        product: a matrix product over a batch of states rounds a state's
-        series differently with the batch's width, which would make the
-        samplers' draws depend on the order states were first reached."""
-        new = [s for s in dict.fromkeys(states) if s not in self._proj]
-        for i in range(0, len(new), self.store.chunk):
-            part = new[i:i + self.store.chunk]
-            series = [_project(self.rho, s, self.configs_arr, self.p.d)
-                      for s in part]
-            self._proj.update(zip(part, self.store.append(np.array(series))))
-        return [self._proj[s] for s in states]
+    def sids(self, states) -> np.ndarray:
+        """State ids of `states`, registering the unseen ones.  Each new
+        series is its own matrix-vector product: a batched product rounds
+        a series differently with the batch's width, so the draws would
+        depend on the order in which states were first reached."""
+        out, fresh = [], []
+        for s in states:
+            k = self.ids.get(s)
+            if k is None:
+                k = self.ids[s] = len(self.states)
+                self.states.append(s)
+                fresh.append(s)
+            out.append(k)
+        for i in range(0, len(fresh), self.store.chunk):
+            self.store.append(np.array(
+                [_project(self.rho, s, self.configs_arr, self.p.d)
+                 for s in fresh[i:i + self.store.chunk]]))
+        self.tab = np.concatenate(
+            (self.tab, np.full(len(fresh), -1, dtype=np.int64)))
+        return np.array(out, dtype=np.int64)
 
-    def series(self, state: BpState) -> np.ndarray:
-        """Indicator average of `state` at every grid time."""
-        return self.store.row(self.project((state,))[0])
+    def build(self, sids: np.ndarray) -> None:
+        """Build the thinning tables of every state in sids that has none,
+        with one `enumerate_transitions` call per state."""
+        new = np.unique(sids[self.tab[sids] < 0])
+        if not new.size:
+            return
+        sources = [self.states[k] for k in new]
+        trans = [enumerate_transitions(s, self.p) for s in sources]
+        flat = [(tr, len(s.blocks)) for s, ts in zip(sources, trans)
+                for tr in ts]
+        t_sid = self.sids([tr.target for tr, _ in flat])
+        t_rate = np.array([tr.rate for tr, _ in flat])
+        t_kind = np.array([TRANSITION_KINDS.index(tr.kind) for tr, _ in flat],
+                          dtype=np.int8)
+        t_merge = np.array([len(set(tr.target.marks)) < n for tr, n in flat],
+                           dtype=bool)
+        sizes = np.array([len(ts) for ts in trans], dtype=np.int64)
+        ends = np.cumsum(sizes)
+        num = np.empty((new.size, self.store.width))
+        for i, (a, b) in enumerate(zip(ends - sizes, ends)):
+            num[i] = t_rate[a:b] @ self.store.rows(t_sid[a:b])
+        den = self.store.rows(new)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = np.where(den > 0.0, num / np.maximum(den, 1e-300), 0.0)
+        self.tab[new] = self.num.append(num)
+        self.suffix_max.append(
+            np.maximum.accumulate(ratio[:, ::-1], axis=1)[:, ::-1])
+        self.ptr = np.concatenate((self.ptr, ends + self.ptr[-1]))
+        self.t_sid = np.concatenate((self.t_sid, t_sid))
+        self.t_rate = np.concatenate((self.t_rate, t_rate))
+        self.t_kind = np.concatenate((self.t_kind, t_kind))
+        self.t_merge = np.concatenate((self.t_merge, t_merge))
 
     def value(self, t: float, state: BpState) -> float:
         if not (0.0 <= t <= self.T):
             raise ParamError("time outside horizon")
-        ser = self.series(state)
+        ser = self.store.row(self.sids((state,)).item(0))
         k = min(int(t / self.step), len(self.grid) - 2)
         theta = (t - self.grid[k]) / self.step
         return float((1.0 - theta) * ser[k] + theta * ser[k + 1])
@@ -224,34 +278,15 @@ def transformed_rates(kernel: HTransformedKernel, state: BpState,
     return out
 
 
-class _StateTables:
-    """Per-state grid series used by the inhomogeneous sampler: transition
-    list, numerator series (sum of rate * target series), denominator
-    series, and the suffix maximum of their knot ratios."""
-
-    def __init__(self, state: BpState, kernel: HTransformedKernel):
-        ht = kernel.ht
-        self.trans = enumerate_transitions(state, kernel.p)
-        self.den = ht.series(state)
-        self.tgt = [ht.series(tr.target) for tr in self.trans]
-        num = np.zeros_like(self.den)
-        for tr, ser in zip(self.trans, self.tgt):
-            num += tr.rate * ser
-        self.num = num
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = np.where(self.den > 0.0, num / np.maximum(self.den, 1e-300),
-                             0.0)
-        self.suffix_max = np.maximum.accumulate(ratio[::-1])[::-1]
-
-
 def sample_transformed_path(kernel: HTransformedKernel, start: BpState, rng,
                             t_end: float, cache: dict | None = None) -> BpPath:
     """Trajectory of the conditioned backward chain on [0, t_end].
 
     Homogeneous kernels run plain event-by-event simulation with the
-    reweighted rates.  Inhomogeneous kernels thin against the suffix
-    maximum of the total-rate knot values, which dominates the true rate
-    on the remaining span because rates are monotone between knots.
+    reweighted rates, caching each state's rates in `cache` if given.
+    Inhomogeneous kernels ignore `cache`: they thin against the suffix
+    maximum of the total-rate knot values in the kernel's `HTTable`,
+    which dominates the true rate on the remaining span.
     """
     if kernel.ht is None:
         return _jump_path(start, kernel.p, t_end, rng,
@@ -261,21 +296,22 @@ def sample_transformed_path(kernel: HTransformedKernel, start: BpState, rng,
     ht = kernel.ht
     if t_end > ht.T:
         raise ParamError("horizon beyond table range")
-    tables = cache if cache is not None else {}
+    store = ht.store
     last = len(ht.grid) - 2
-    t, state, events = 0.0, start, []
+    sid = ht.ids.get(start)
+    if sid is None:
+        sid = ht.sids((start,)).item(0)
+    t, events = 0.0, []
     while True:
-        tab = tables.get(state)
-        if tab is None:
-            tab = _StateTables(state, kernel)
-            tables[state] = tab
-        if not tab.trans:
-            break
+        i = ht.tab.item(sid)
+        if i < 0:
+            ht.build(np.array((sid,)))
+            i = ht.tab.item(sid)
         k0 = min(int(t / ht.step), last)
-        lam_bar = float(tab.suffix_max[k0])
+        lam_bar = ht.suffix_max.row(i).item(k0)
         if lam_bar <= 0.0:
             break
-        accepted = False
+        den, num = store.row(sid), ht.num.row(i)
         while True:
             t = t + rng.exponential(1.0 / lam_bar)
             if t >= t_end:
@@ -285,124 +321,51 @@ def sample_transformed_path(kernel: HTransformedKernel, start: BpState, rng,
             k = min(int(t / ht.step), last)
             theta = (t - ht.grid.item(k)) / ht.step
             w0 = 1.0 - theta
-            den_t = w0 * tab.den.item(k) + theta * tab.den.item(k + 1)
+            den_t = w0 * den.item(k) + theta * den.item(k + 1)
             if den_t <= 0.0:
                 raise ParamError("h positivity violated")
-            lam_t = (w0 * tab.num.item(k) + theta * tab.num.item(k + 1)) / den_t
+            lam_t = (w0 * num.item(k) + theta * num.item(k + 1)) / den_t
             if rng.random() * lam_bar < lam_t:
-                accepted = True
                 break
-        if not accepted:
+        if t >= t_end:
             break
-        weights = [tr.rate * (w0 * ser.item(k) + theta * ser.item(k + 1))
-                   for tr, ser in zip(tab.trans, tab.tgt)]
-        x = rng.random() * sum(weights)
-        chosen = tab.trans[min(bisect.bisect_right(
-            list(itertools.accumulate(weights)), x), len(tab.trans) - 1)]
-        events.append((t, chosen))
-        state = chosen.target
+        lo, hi = ht.ptr.item(i), ht.ptr.item(i + 1)
+        rows = [store.row(j) for j in ht.t_sid[lo:hi].tolist()]
+        cum = list(itertools.accumulate(
+            rate * (w0 * ser.item(k) + theta * ser.item(k + 1))
+            for rate, ser in zip(ht.t_rate[lo:hi].tolist(), rows)))
+        j = lo + min(bisect.bisect_right(cum, rng.random() * cum[-1]),
+                     hi - lo - 1)
+        sid = ht.t_sid.item(j)
+        events.append((t, BpTransition(
+            target=ht.states[sid], rate=ht.t_rate.item(j),
+            kind=TRANSITION_KINDS[ht.t_kind.item(j)])))
     return BpPath(initial=start, events=tuple(events), horizon=t_end,
                   params=kernel.p)
 
 
-class _BlockTables:
-    """Thinning tables of `conditioned_coalescence_times`, built for the
-    states a round reaches first.
-
-    Every state a replicate can enter gets a state id and, at once, its
-    series row in the horizon table's store.  A built state also gets a
-    table id, which indexes its rows of `num` (the numerator series, sum
-    of rate * target series) and `suffix_max` (the suffix maximum of the
-    knot ratios num / den), and its segment ptr[tab]:ptr[tab + 1] of the
-    flat transition arrays: target state id, base rate, and whether the
-    target has fewer blocks (a merge).
-    """
-
-    def __init__(self, kernel: HTransformedKernel):
-        self.p = kernel.p
-        self.ht = kernel.ht
-        self.num = _RowStore(self.ht.store.width)
-        self.suffix_max = _RowStore(self.ht.store.width)
-        self.ids = {}
-        self.states = []
-        self.row = np.zeros(0, dtype=np.int64)  # state id -> series row
-        self.tab = np.zeros(0, dtype=np.int64)  # state id -> table id or -1
-        self.ptr = np.zeros(1, dtype=np.int64)
-        self.t_sid = np.zeros(0, dtype=np.int64)
-        self.t_rate = np.zeros(0)
-        self.t_merge = np.zeros(0, dtype=bool)
-
-    def sids(self, states) -> np.ndarray:
-        """State ids of `states`; the unseen ones are registered and their
-        series projected together."""
-        out, fresh = [], []
-        for s in states:
-            k = self.ids.get(s)
-            if k is None:
-                k = self.ids[s] = len(self.states)
-                self.states.append(s)
-                fresh.append(s)
-            out.append(k)
-        self.row = np.concatenate(
-            (self.row, np.array(self.ht.project(fresh), dtype=np.int64)))
-        self.tab = np.concatenate(
-            (self.tab, np.full(len(fresh), -1, dtype=np.int64)))
-        return np.array(out, dtype=np.int64)
-
-    def build(self, sids: np.ndarray) -> None:
-        """Build the tables of every state in sids that has none."""
-        new = np.unique(sids[self.tab[sids] < 0])
-        if not new.size:
-            return
-        sources = [self.states[k] for k in new]
-        trans = [enumerate_transitions(s, self.p) for s in sources]
-        flat = [(tr, len(s.blocks)) for s, ts in zip(sources, trans)
-                for tr in ts]
-        t_sid = self.sids([tr.target for tr, _ in flat])
-        t_rate = np.array([tr.rate for tr, _ in flat])
-        t_merge = np.array([len(set(tr.target.marks)) < n for tr, n in flat],
-                           dtype=bool)
-        sizes = np.array([len(ts) for ts in trans], dtype=np.int64)
-        ends = np.cumsum(sizes)
-        store = self.ht.store
-        num = np.empty((new.size, store.width))
-        for i, (a, b) in enumerate(zip(ends - sizes, ends)):
-            num[i] = t_rate[a:b] @ store.rows(self.row[t_sid[a:b]])
-        den = store.rows(self.row[new])
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = np.where(den > 0.0, num / np.maximum(den, 1e-300), 0.0)
-        self.tab[new] = self.num.append(num)
-        self.suffix_max.append(
-            np.maximum.accumulate(ratio[:, ::-1], axis=1)[:, ::-1])
-        self.ptr = np.concatenate((self.ptr, ends + self.ptr[-1]))
-        self.t_sid = np.concatenate((self.t_sid, t_sid))
-        self.t_rate = np.concatenate((self.t_rate, t_rate))
-        self.t_merge = np.concatenate((self.t_merge, t_merge))
-
-
-def _coalescence_block(tables: _BlockTables, start: int, T: float, n: int,
-                       rng) -> np.ndarray:
+def _coalescence_block(ht: HTTable, start: int, n: int, rng) -> np.ndarray:
     """First coalescence times of n replicates started at state id start;
-    infinity for those that do not merge before T.
+    infinity for those that do not merge before the horizon.
 
     Each round, every live replicate proposes one time against the
     suffix maximum at its current knot, which dominates its rate from
-    that knot to the horizon.  It stops once the proposal passes T or the
-    bound is 0.  An accepted proposal picks its transition with odds
-    rate * interpolated target series, and a merge retires the replicate.
+    that knot to the horizon.  It stops once the proposal passes the
+    horizon or the bound is 0.  An accepted proposal picks its transition
+    with odds rate * interpolated target series, and a merge retires the
+    replicate.  Each round first builds the tables of new states.
     """
-    ht = tables.ht
-    store, grid, step = ht.store, ht.grid, ht.step
+    store, grid, step, T = ht.store, ht.grid, ht.step, ht.T
     last = len(grid) - 2
     out = np.full(n, np.inf)
     rep = np.arange(n)
     t = np.zeros(n)
     sid = np.full(n, start, dtype=np.int64)
     while rep.size:
-        tables.build(sid)
-        tab = tables.tab[sid]
+        ht.build(sid)
+        tab = ht.tab[sid]
         k = np.minimum((t / step).astype(np.int64), last)
-        lam = tables.suffix_max.at(tab, k[:, None])[:, 0]
+        lam = ht.suffix_max.at(tab, k[:, None])[:, 0]
         t = t + rng.exponential(1.0 / np.where(lam > 0.0, lam, 1.0))
         go = (lam > 0.0) & (t < T)
         rep, t, sid, tab, lam = rep[go], t[go], sid[go], tab[go], lam[go]
@@ -412,29 +375,29 @@ def _coalescence_block(tables: _BlockTables, start: int, T: float, n: int,
         theta = (t - grid[k]) / step
         cols = k[:, None] + (0, 1)
         w = np.column_stack((1.0 - theta, theta))
-        den = (w * store.at(tables.row[sid], cols)).sum(axis=1)
+        den = (w * store.at(sid, cols)).sum(axis=1)
         if np.any(den <= 0.0):
             raise ParamError("h positivity violated")
-        lam_t = (w * tables.num.at(tab, cols)).sum(axis=1) / den
+        lam_t = (w * ht.num.at(tab, cols)).sum(axis=1) / den
         acc = np.flatnonzero(rng.random(rep.size) * lam < lam_t)
         if not acc.size:
             continue
         # the accepted replicates' transition segments, laid end to end
-        lo = tables.ptr[tab[acc]]
-        cnt = tables.ptr[tab[acc] + 1] - lo
+        lo = ht.ptr[tab[acc]]
+        cnt = ht.ptr[tab[acc] + 1] - lo
         ends = np.cumsum(cnt)
         owner = np.repeat(np.arange(acc.size), cnt)
         pos = np.arange(ends[-1]) + np.repeat(lo - (ends - cnt), cnt)
         g = acc[owner]
-        weight = tables.t_rate[pos] * (
-            w[g] * store.at(tables.row[tables.t_sid[pos]], cols[g])).sum(axis=1)
+        weight = ht.t_rate[pos] * (
+            w[g] * store.at(ht.t_sid[pos], cols[g])).sum(axis=1)
         cum = np.cumsum(weight)
         base = np.concatenate(((0.0,), cum))[ends - cnt]
         x = base + rng.random(acc.size) * (cum[ends - 1] - base)
         chosen = pos[np.minimum(np.searchsorted(cum, x, side="right"),
                                 ends - 1)]
-        sid[acc] = tables.t_sid[chosen]
-        merged = acc[tables.t_merge[chosen]]
+        sid[acc] = ht.t_sid[chosen]
+        merged = acc[ht.t_merge[chosen]]
         out[rep[merged]] = t[merged]
         keep = np.ones(rep.size, dtype=bool)
         keep[merged] = False
@@ -452,18 +415,18 @@ def conditioned_coalescence_times(p: ModelParams, T: float, reps: int,
 
     The reps replicates fall into blocks of BLOCK_REPS, and block k
     draws from the stream keyed (seed, k).  Only the block indices in
-    `blocks` run, and their times come back in that order.  The horizon
-    tables and the thinning tables are shared by the blocks of one call.
+    `blocks` run, and their times come back in that order; an index
+    outside the reps replicates' blocks is refused.  The horizon table
+    and its thinning tables are shared by the blocks of one call.
     """
-    kernel = make_inhomogeneous_kernel(p, nu, T)
-    tables = _BlockTables(kernel)
-    start = tables.sids([canonical_start(p, tagged)])[0]
+    blocks = _check_blocks(reps, BLOCK_REPS, blocks)
+    ht = make_inhomogeneous_kernel(p, nu, T).ht
+    start = ht.sids((canonical_start(p, tagged),)).item(0)
     parts = []
     for k in blocks:
         rng = np.random.Generator(np.random.Philox(key=(seed, k)))
         parts.append(_coalescence_block(
-            tables, start, kernel.ht.T, min(BLOCK_REPS, reps - k * BLOCK_REPS),
-            rng))
+            ht, start, min(BLOCK_REPS, reps - k * BLOCK_REPS), rng))
     return np.concatenate(parts) if parts else np.zeros(0)
 
 
@@ -474,14 +437,14 @@ class ConditionedSample:
 
 
 def sample_conditioned_lines(p: ModelParams, xi_star: dict, mu, T: float, rng,
-                             kernel: HTransformedKernel | None = None,
-                             cache: dict | None = None) -> ConditionedSample:
+                             kernel: HTransformedKernel | None = None
+                             ) -> ConditionedSample:
     """Ancestral lines over [-T, 0] of the tagged sites, conditioned on
     their observed types xi_star at time 0, started from law mu at -T."""
     start = canonical_start(p, xi_star)
     if kernel is None:
         kernel = make_inhomogeneous_kernel(p, mu, T)
-    path = sample_transformed_path(kernel, start, rng, t_end=T, cache=cache)
+    path = sample_transformed_path(kernel, start, rng, t_end=T)
     return ConditionedSample(path=path, lines=reverse_to_lines(path))
 
 
@@ -578,11 +541,10 @@ def conditioned_functional_check(p: ModelParams, xi_star: dict, mu, T: float,
     se_f = float(vf.std(ddof=1) / np.sqrt(len(vf)))
 
     kernel = make_inhomogeneous_kernel(p, mu, T)
-    cache: dict = {}
     vals_b = np.empty(reps_backward)
     for r in range(reps_backward):
         sample = sample_conditioned_lines(p, xi_star, mu, T, rng_b,
-                                          kernel=kernel, cache=cache)
+                                          kernel=kernel)
         vals_b[r] = float(functional(sample.lines))
     mean_b = float(vals_b.mean())
     se_b = float(vals_b.std(ddof=1) / np.sqrt(reps_backward))

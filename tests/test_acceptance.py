@@ -153,12 +153,11 @@ def test_criterion_06_conditioned_sampler():
     T = 2.0
     reps = 100_000
     kernel = make_inhomogeneous_kernel(p, nu, T)
-    cache: dict = {}
     rng = philox(606, 0)
     sigmas = np.empty(reps)
     for k in range(reps):
         sample = sample_conditioned_lines(p, {0: 0, 1: 0}, nu, T, rng,
-                                          kernel=kernel, cache=cache)
+                                          kernel=kernel)
         sigmas[k] = first_coalescence_time(sample.path)
     worst_z = 0.0
     for t in (0.5, 1.0):

@@ -8,8 +8,7 @@ import pytest
 from moranlines import (BudgetError, ParamError, cat_fixation_type,
                         genealogical_distance, init_forest,
                         neutral_pair_distance_samples, pair_block_count,
-                        pair_distance_samples, path_value, run_until,
-                        simulate_types, step_forest)
+                        pair_distance_samples, path_value, run_until)
 from moranlines import model
 import moranlines.forward as forward
 
@@ -41,8 +40,6 @@ def test_initial_types_outside_type_space_are_refused():
         init_forest(p, 0.0, (0, -1, 1))
     with pytest.raises(ParamError, match="initial type outside type space"):
         cat_fixation_type(p, 0.0, (0, 2, 1), 0.5, rng)
-    with pytest.raises(ParamError, match="initial type outside type space"):
-        simulate_types(p, (0, 1, 2), 0.5, rng)
 
 
 def test_extreme_selection_event_law():
@@ -53,7 +50,8 @@ def test_extreme_selection_event_law():
     n = 4000
     for _ in range(n):
         f = init_forest(p, 0.0, (0, 1))
-        _, evt = step_forest(f, p, rng)
+        # one event, after a holding time drawn at the total rate N^2/2
+        evt = forward._step_at(f, p, rng, rng.exponential(0.5))
         assert evt.kind == "resample"
         counts[(evt.src, evt.dst)] = counts.get((evt.src, evt.dst), 0) + 1
     assert (0, 1) not in counts          # zero-rate direction never fires
@@ -67,12 +65,11 @@ def test_holding_time_mean():
     p = mk(2, B=0.0)
     total = 2.0  # N*B + N^2/2
     rng = philox(8, 0)
-    f = init_forest(p, 0.0, (0, 1))
-    times = [f.now]
-    for _ in range(100_000):
-        f, evt = step_forest(f, p, rng)
-        times.append(evt.time)
-    dts = np.diff(times)
+    trace = []
+    run_until(init_forest(p, 0.0, (0, 1)), p, 60_000.0, rng, trace=trace)
+    # the first 100,000 of about 120,000 events
+    assert len(trace) > 100_000
+    dts = np.diff([0.0] + [evt.time for evt in trace[:100_000]])
     assert abs(dts.mean() - 1.0 / total) <= 0.01 / total
 
 
@@ -206,7 +203,8 @@ def test_type_marginals_are_exchangeable():
     m2 = np.empty(reps)
     for r in range(reps):
         start = tuple(int(x) for x in rng.random(3) < 0.4)
-        out = simulate_types(p, start, 0.7, rng)
+        out = run_until(init_forest(p, 0.0, start), p, 0.7,
+                        rng).current_types
         j01[r] = (out[0], out[1])
         m0[r], m2[r] = out[0], out[2]
     p01 = np.mean((j01[:, 0] == 0) & (j01[:, 1] == 1))
@@ -422,7 +420,9 @@ def test_simulate_types_draw_order_is_pinned():
     got, nxt = [], []
     for seed in range(10):
         rng = philox(seed, 4)
-        got.append(simulate_types(GUARD_P, (0, 1, 2, 1), 0.6, rng))
+        forest = run_until(init_forest(GUARD_P, 0.0, (0, 1, 2, 1)), GUARD_P,
+                           0.6, rng)
+        got.append(tuple(forest.current_types))
         nxt.append(int(rng.integers(1000)))
     assert got == [(1, 2, 2, 0), (1, 1, 1, 1), (2, 2, 2, 2), (1, 1, 2, 1),
                    (2, 1, 2, 1), (2, 2, 2, 2), (2, 1, 1, 1), (2, 1, 2, 2),

@@ -12,7 +12,8 @@ import moranlines.model as model
 import moranlines.transformed as transformed
 from moranlines import (BudgetError, ParamError, canonical_start,
                         enumerate_transitions, finite_stationary_law,
-                        init_forest, make_state, path_value, run_until)
+                        init_forest, make_state, pair_distance_samples,
+                        path_value, run_until)
 from moranlines.exact import build_bp_generator
 from moranlines.forward import BLOCK_REPS
 from moranlines.transformed import (HTTable, HTransformedKernel,
@@ -111,9 +112,10 @@ def test_table_byte_budget_refuses_before_allocating(monkeypatch):
 
 
 def test_state_tables_match_rates_and_dominate():
-    # the thinning sampler reads _StateTables, not transformed_rates: its
-    # total-rate series must agree with the summed conditioned rates, and
-    # its suffix maximum must bound the total rate on the rest of the span
+    # the thinning samplers read the horizon table's thinning tables, not
+    # transformed_rates: a state's total-rate series must agree with the
+    # summed conditioned rates, and its suffix maximum must bound the total
+    # rate on the rest of the span
     p = mk(3, S=1.0, b=((0.7, 0.3), (0.2, 0.8)))
     T = 0.5
     kernel = make_inhomogeneous_kernel(p, (0.15, 0.85), T)
@@ -123,11 +125,14 @@ def test_state_tables_match_rates_and_dominate():
     rng = philox(31, 0)
     picks = rng.choice(gen.n, size=8, replace=False)
     for state in (gen.states[i] for i in picks):
-        tab = transformed._StateTables(state, kernel)
+        sid = ht.sids((state,))
+        ht.build(sid)
+        tab = ht.tab[sid[0]]
+        num, den = ht.num.row(tab), ht.store.row(sid[0])
+        suffix_max = ht.suffix_max.row(tab)
 
         def total(t):
-            return np.interp(t, ht.grid, tab.num) / np.interp(t, ht.grid,
-                                                              tab.den)
+            return np.interp(t, ht.grid, num) / np.interp(t, ht.grid, den)
 
         for t in rng.uniform(0.0, T, size=6):
             want = sum(tr.rate for tr in transformed_rates(kernel, state, t))
@@ -138,7 +143,7 @@ def test_state_tables_match_rates_and_dominate():
         lam = np.array([total(t) for t in probes])
         for k in range(len(ht.grid)):
             ahead = lam[probes >= ht.grid[k]]
-            assert tab.suffix_max[k] >= ahead.max() * (1.0 - 1e-12)
+            assert suffix_max[k] >= ahead.max() * (1.0 - 1e-12)
 
 
 def test_conditioned_coalescence_rate_formula():
@@ -195,16 +200,35 @@ def test_inhomogeneous_sampler_stream_is_pinned():
     inf = float("inf")
     kernel = make_inhomogeneous_kernel(p, np.full(3, 1 / 3), 1.0)
     start = canonical_start(p, {0: 0, 1: 2})
-    cache: dict = {}
     got = [first_coalescence_time(sample_transformed_path(
-        kernel, start, philox(5, rep), 1.0, cache=cache))
-        for rep in range(20)]
+        kernel, start, philox(5, rep), 1.0)) for rep in range(20)]
     assert got == [
         0.45072486291357783, inf, inf, 0.8955536981439961, inf, inf, inf,
         inf, 0.7876242633687965, 0.23696135334181184, inf,
-        0.7752719387004713, inf, 0.4589690365102721, inf,
+        0.7752719387004714, inf, 0.4589690365102721, inf,
         0.8535625618269429, 0.38319037846642945, inf, 0.1003117693537816,
         inf]
+
+
+def test_per_path_sampler_enumerates_each_state_once(monkeypatch):
+    # the per-path sampler's tables live on the kernel's horizon table, so
+    # draws without a cache enumerate a state's transitions only once
+    p = mk(3, d=3, B=1.0, S=1.0)
+    kernel = make_inhomogeneous_kernel(p, np.full(3, 1 / 3), 1.0)
+    start = canonical_start(p, {0: 0, 1: 2})
+    calls = Counter()
+    enumerate_all = transformed.enumerate_transitions
+
+    def counted(state, p):
+        calls[state] += 1
+        return enumerate_all(state, p)
+
+    monkeypatch.setattr(transformed, "enumerate_transitions", counted)
+    rng = philox(40, 0)
+    for _ in range(200):
+        sample_transformed_path(kernel, start, rng, 1.0, cache=None)
+    assert len(calls) > 1
+    assert set(calls.values()) == {1}
 
 
 def test_block_sampler_stream_is_pinned():
@@ -263,13 +287,26 @@ def test_block_sampler_matches_per_path_sampler():
     kernel = make_inhomogeneous_kernel(p, nu, T)
     start = canonical_start(p, tagged)
     rng = philox(618, 0)
-    cache: dict = {}
     paths = np.array([first_coalescence_time(sample_transformed_path(
-        kernel, start, rng, T, cache=cache)) for _ in range(4000)])
+        kernel, start, rng, T)) for _ in range(4000)])
     for t in (0.25, 0.5, 0.75):
         a, b = np.mean(blocks > t), np.mean(paths > t)
         se = math.sqrt(a * (1 - a) / blocks.size + b * (1 - b) / paths.size)
         assert abs(a - b) <= 3.0 * se
+
+
+@pytest.mark.parametrize("reps, blocks, match", [
+    (100, [1], "block index 1 outside the 1 blocks of 100 replicates"),
+    (100, [-1], "block index -1 outside the 1 blocks of 100 replicates"),
+    (-5, [0], "replicate count must be nonnegative"),
+], ids=["past_the_last", "negative_index", "negative_reps"])
+def test_block_samplers_refuse_blocks_outside_the_replicates(reps, blocks,
+                                                             match):
+    with pytest.raises(ParamError, match=match):
+        conditioned_coalescence_times(mk(2, B=0.0), 1.0, reps, 5,
+                                      {0: 0, 1: 0}, (0.5, 0.5), blocks)
+    with pytest.raises(ParamError, match=match):
+        pair_distance_samples(mk(3, S=1.0), 1.0, reps, 5, blocks)
 
 
 def test_block_sampler_refuses_vanishing_h(monkeypatch):
@@ -304,10 +341,9 @@ def test_conditioned_line_endpoints():
     xi = {0: 0, 1: 1}
     kernel = make_inhomogeneous_kernel(p, (0.6, 0.4), 1.0)
     rng = philox(32, 0)
-    cache = {}
     for _ in range(300):
         sample = sample_conditioned_lines(p, xi, (0.6, 0.4), 1.0, rng,
-                                          kernel=kernel, cache=cache)
+                                          kernel=kernel)
         assert sorted(sample.lines) == [0, 1]
         for j, line in sample.lines.items():
             assert line.domain == (-1.0, 0.0)
@@ -320,11 +356,9 @@ def test_conditioned_survival_matches_formula():
     kernel = make_inhomogeneous_kernel(p, (0.5, 0.5), T)
     start = canonical_start(p, {0: 0, 1: 0})
     rng = philox(33, 0)
-    cache = {}
     taus = np.empty(15_000)
     for r in range(taus.size):
-        path = sample_transformed_path(kernel, start, rng, t_end=T,
-                                       cache=cache)
+        path = sample_transformed_path(kernel, start, rng, t_end=T)
         taus[r] = first_coalescence_time(path)
     scale = 1.0 - 0.5 * math.exp(-T)
     for t in (0.25, 0.5, 1.0):
@@ -339,9 +373,8 @@ def test_distinct_types_never_merge_without_mutation():
     kernel = make_inhomogeneous_kernel(p, (0.5, 0.5), 1.0)
     start = canonical_start(p, {0: 0, 1: 1})
     rng = philox(34, 0)
-    cache = {}
     for _ in range(500):
-        path = sample_transformed_path(kernel, start, rng, 1.0, cache=cache)
+        path = sample_transformed_path(kernel, start, rng, 1.0)
         assert first_coalescence_time(path) == math.inf
 
 
@@ -360,12 +393,10 @@ def test_conditioned_marginal_chi_square():
 
     kernel = make_inhomogeneous_kernel(p, nu, T)
     rng = philox(35, 0)
-    cache = {}
     n = 5000
     counts = Counter()
     for _ in range(n):
-        path = sample_transformed_path(kernel, start, rng, t_end=T,
-                                       cache=cache)
+        path = sample_transformed_path(kernel, start, rng, t_end=T)
         counts[path.state_at(s)] += 1
 
     # bin states with tiny expectation together before the chi-square
