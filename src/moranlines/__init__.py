@@ -23,8 +23,7 @@ from .backward import (BpPath, BpState, BpTransition, LinePath,
 from .exact import (DualityReport, GeneratorMatrix, build_bp_generator,
                     build_type_generator, check_duality, compute_h,
                     compute_hT, config_law_vector, duality_reports,
-                    expm_apply, harmonic_residual, permute_bp_state,
-                    permute_type_config)
+                    expm_apply, harmonic_residual)
 from .transformed import (ConditionedSample, FunctionalCheck, HTTable,
                           HTransformedKernel, conditioned_coalescence_times,
                           conditioned_functional_check,
@@ -61,7 +60,7 @@ __all__ = [
     "DualityReport", "GeneratorMatrix", "build_bp_generator",
     "build_type_generator", "check_duality", "compute_h", "compute_hT",
     "config_law_vector", "duality_reports", "expm_apply",
-    "harmonic_residual", "permute_bp_state", "permute_type_config",
+    "harmonic_residual",
     # transformed
     "ConditionedSample", "FunctionalCheck", "HTTable", "HTransformedKernel",
     "conditioned_coalescence_times", "conditioned_functional_check", "first_coalescence_time", "forest_line",

@@ -20,7 +20,7 @@ from scipy.special import gammaln, xlogy
 
 from .model import (BudgetError, ModelParams, ParamError, StationaryTypeLaw,
                     finite_stationary_law, validate_params)
-from .backward import BpState, enumerate_transitions, feynman_kac_V, make_state
+from .backward import BpState, enumerate_transitions, feynman_kac_V
 
 __all__ = [
     "GeneratorMatrix",
@@ -34,8 +34,6 @@ __all__ = [
     "compute_h",
     "harmonic_residual",
     "compute_hT",
-    "permute_type_config",
-    "permute_bp_state",
 ]
 
 STATE_CAP = 200_000  # most configurations or backward states enumerated
@@ -304,16 +302,26 @@ def _project(laws: np.ndarray, s: BpState, configs_arr: np.ndarray,
     return laws @ h_star_vector(s, configs_arr, d)
 
 
-def _duality(p: ModelParams, mu, starts, times, type_gen: GeneratorMatrix,
-             bp_gen: GeneratorMatrix) -> list:
+def check_duality(p: ModelParams, start: BpState, mu,
+                  t: float) -> DualityReport:
+    """Both sides of the moment identity at a single start state and time."""
+    return duality_reports(p, mu, [start], [t])[0]
+
+
+def duality_reports(p: ModelParams, mu, starts, times) -> list:
     """Both sides of the moment identity for every start and time, one
-    semigroup pass per side and time.
+    semigroup pass per side and time, sharing the type generator and one
+    backward generator over the union of the starts' reachable sets;
+    reports run over starts, then times.
 
     Left side: evolve the law mu of the types for time t and average each
     start's indicator against it.  Right side: evolve the indicators'
     time-zero averages under the weighted backward semigroup and read
     each start's entry.
     """
+    starts = list(starts)
+    type_gen = build_type_generator(p)
+    bp_gen = build_bp_generator(p, starts)
     configs_arr = np.array(type_gen.states, dtype=np.int64)
     mu_vec = config_law_vector(p, mu, type_gen.states)
     laws = np.array([expm_apply(type_gen, mu_vec, t, transpose=True)
@@ -328,29 +336,13 @@ def _duality(p: ModelParams, mu, starts, times, type_gen: GeneratorMatrix,
             for k, start in enumerate(starts) for m, t in enumerate(times)]
 
 
-def check_duality(p: ModelParams, start: BpState, mu,
-                  t: float) -> DualityReport:
-    """Both sides of the moment identity at a single start state and time."""
-    return duality_reports(p, mu, [start], [t])[0]
-
-
-def duality_reports(p: ModelParams, mu, starts, times) -> list:
-    """check_duality over many starts and times, sharing the type generator
-    and one backward generator over the union of the starts' reachable
-    sets; reports run over starts, then times."""
-    starts = list(starts)
-    return _duality(p, mu, starts, times, build_type_generator(p),
-                    build_bp_generator(p, starts))
-
-
-def compute_h(p: ModelParams, gen: GeneratorMatrix, law=None,
-              verify: bool = True) -> np.ndarray:
+def compute_h(p: ModelParams, gen: GeneratorMatrix, law=None) -> np.ndarray:
     """Equilibrium indicator averages over the backward states.
 
     h(state) is the probability, under the stationary type law, that a
     configuration is compatible with the state.  Requires strictly
-    positive values; when verify is set, checks that h is harmonic for
-    the weighted generator, to HARMONIC_TOL.
+    positive values, and checks that h is harmonic for the weighted
+    generator, to HARMONIC_TOL.
     """
     if gen.fk_diagonal is None:
         raise ParamError("weighted backward generator required")
@@ -362,11 +354,10 @@ def compute_h(p: ModelParams, gen: GeneratorMatrix, law=None,
     h = np.array([_project(pi, s, configs_arr, p.d) for s in gen.states])
     if np.min(h) <= 1e-14:
         raise ParamError("positivity assumption violated")
-    if verify:
-        res = harmonic_residual(gen, h)
-        if res > HARMONIC_TOL:
-            raise ArithmeticError(
-                f"harmonic residual {res:.3e} exceeds {HARMONIC_TOL:.1e}")
+    res = harmonic_residual(gen, h)
+    if res > HARMONIC_TOL:
+        raise ArithmeticError(
+            f"harmonic residual {res:.3e} exceeds {HARMONIC_TOL:.1e}")
     return h
 
 
@@ -401,22 +392,3 @@ def compute_hT(p: ModelParams, gen: GeneratorMatrix, mu, T: float,
     if np.any(out <= 0.0):
         raise ParamError("h positivity violated")
     return out
-
-
-def permute_type_config(config, perm):
-    """Relabel sites of a configuration: site i becomes perm[i]."""
-    out = [0] * len(config)
-    for i, u in enumerate(config):
-        out[perm[i]] = u
-    return tuple(out)
-
-
-def permute_bp_state(s: BpState, perm) -> BpState:
-    """Relabel sites of a backward state by the same permutation."""
-    pairs = sorted(zip((perm[j] for j in s.j_sites),
-                       ((u, perm[i]) for (u, i) in s.marks)))
-    new_active = [None] * s.N
-    for i, sub in enumerate(s.active):
-        new_active[perm[i]] = sub
-    return make_state(tuple(j for j, _ in pairs), tuple(m for _, m in pairs),
-                      new_active, s.d)

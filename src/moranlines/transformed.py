@@ -14,7 +14,8 @@ The inhomogeneous samplers thin proposals against a dominating rate that
 is exact for the tabulated field: between grid knots every transition
 rate is a ratio of two linear functions of time, hence monotone, so the
 supremum over any span is attained at a knot.  Both read the thinning
-tables of the kernel's `HTTable`.  `sample_transformed_path` draws one
+tables of the kernel's `HTTable`, which keeps every series and table it
+builds within DENSE_SOLVE_BYTES.  `sample_transformed_path` draws one
 path at a time; `conditioned_coalescence_times` advances a block of
 replicates together and reads only their first merge.
 """
@@ -55,61 +56,6 @@ __all__ = [
 ]
 
 HT_STEP = 1e-3  # largest grid step of the horizon tables
-STORE_CHUNK_BYTES = 8 * 2**20  # bytes per chunk of a _RowStore
-
-
-class _RowStore:
-    """Float rows of one width, appended into chunks of a fixed row count.
-
-    A row never moves once written, so a view of it stays valid and
-    growing copies nothing; a chunk's pages are touched only as rows are
-    written into it.
-    """
-
-    def __init__(self, width: int):
-        self.width = width
-        self.chunk = max(1, STORE_CHUNK_BYTES // (8 * width))
-        self.chunks = []
-        self.n = 0
-
-    def append(self, rows: np.ndarray) -> range:
-        """Store the rows of a 2-D array; returns their ids."""
-        first, done = self.n, 0
-        while done < len(rows):
-            c, r = divmod(self.n, self.chunk)
-            if c == len(self.chunks):
-                self.chunks.append(np.empty((self.chunk, self.width)))
-            m = min(self.chunk - r, len(rows) - done)
-            self.chunks[c][r:r + m] = rows[done:done + m]
-            done += m
-            self.n += m
-        return range(first, self.n)
-
-    def row(self, i: int) -> np.ndarray:
-        c, r = divmod(i, self.chunk)
-        return self.chunks[c][r]
-
-    def rows(self, ids: np.ndarray) -> np.ndarray:
-        """Copy of the rows ids, as a len(ids) x width array."""
-        c, r = np.divmod(ids, self.chunk)
-        if len(self.chunks) == 1:
-            return self.chunks[0][r]
-        out = np.empty((len(ids), self.width))
-        for j in np.unique(c):
-            m = c == j
-            out[m] = self.chunks[j][r[m]]
-        return out
-
-    def at(self, ids: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        """Entries (ids[i], cols[i, q]), as an array shaped like cols."""
-        c, r = np.divmod(ids, self.chunk)
-        if len(self.chunks) == 1:
-            return self.chunks[0][r[:, None], cols]
-        out = np.empty(cols.shape)
-        for j, chunk in enumerate(self.chunks):
-            m = c == j
-            out[m] = chunk[r[m, None], cols[m]]
-        return out
 
 
 class HTTable:
@@ -120,15 +66,21 @@ class HTTable:
     interpolated values per backward state.  Interpolation error is
     O(step^2) in t and is documented as part of the sampler's budget;
     exact single-time values should use the direct computation instead.
-    The table holds (grid points) x d^N floats; above DENSE_SOLVE_BYTES
+    The grid law holds (grid points) x d^N floats; above DENSE_SOLVE_BYTES
     it is refused before the type chain is built or stepped.
 
-    A state's id is its row of `store`, its series at every grid time.
-    Once `build` has reached a state, tab[sid] indexes its rows of `num`
-    (sum of rate * target series) and `suffix_max` (suffix maximum of the
-    knot ratios num / den), and its segment ptr[tab]:ptr[tab + 1] of the
-    flat arrays t_sid, t_rate, t_kind (an index into TRANSITION_KINDS)
-    and t_merge (whether the target has fewer blocks).
+    Every series and thinning table lives in one array `rows`, reserved
+    up front with what DENSE_SOLVE_BYTES leaves beside the grid law; its
+    pages are committed only as rows are written, and a row never moves.
+    A state's id is its row, its series at every grid time; these fill
+    from the front.  Once `build` has reached a state, tab[sid] is its
+    table id i: row top - 2i holds its `num` series (sum of rate * target
+    series) and row top - 2i - 1 the suffix maximum of the knot ratios
+    num / den, filling from the back, and ptr[i]:ptr[i + 1] is its
+    segment of the flat arrays t_sid, t_rate, t_kind (an index into
+    TRANSITION_KINDS) and t_merge (whether the target has fewer blocks).
+    A state or table that would not fit is refused with a BudgetError
+    before it is stored.
     """
 
     def __init__(self, p: ModelParams, mu, T: float):
@@ -152,11 +104,11 @@ class HTTable:
         for k in range(n - 1, -1, -1):
             rho[k] = expm_apply(type_gen, rho[k + 1], self.step, transpose=True)
         self.rho = rho
-        self.store = _RowStore(n + 1)
+        self.rows = np.empty(
+            ((DENSE_SOLVE_BYTES - rho.nbytes) // (8 * (n + 1)), n + 1))
+        self.top = len(self.rows) - 1
         self.ids = {}
         self.states = []
-        self.num = _RowStore(n + 1)
-        self.suffix_max = _RowStore(n + 1)
         self.tab = np.zeros(0, dtype=np.int64)  # state id -> table id or -1
         self.ptr = np.zeros(1, dtype=np.int64)
         self.t_sid = np.zeros(0, dtype=np.int64)
@@ -164,23 +116,27 @@ class HTTable:
         self.t_kind = np.zeros(0, dtype=np.int8)
         self.t_merge = np.zeros(0, dtype=bool)
 
+    def _fit(self, states: int, tables: int) -> None:
+        """Refuse unless that many series and tables fit in `rows`."""
+        if states + 2 * tables > len(self.rows):
+            raise BudgetError("horizon table above the dense budget")
+
     def sids(self, states) -> np.ndarray:
         """State ids of `states`, registering the unseen ones.  Each new
         series is its own matrix-vector product: a batched product rounds
         a series differently with the batch's width, so the draws would
         depend on the order in which states were first reached."""
-        out, fresh = [], []
+        out, fresh = [], {}
         for s in states:
             k = self.ids.get(s)
             if k is None:
-                k = self.ids[s] = len(self.states)
-                self.states.append(s)
-                fresh.append(s)
+                k = fresh.setdefault(s, len(self.states) + len(fresh))
             out.append(k)
-        for i in range(0, len(fresh), self.store.chunk):
-            self.store.append(np.array(
-                [_project(self.rho, s, self.configs_arr, self.p.d)
-                 for s in fresh[i:i + self.store.chunk]]))
+        self._fit(len(self.states) + len(fresh), len(self.ptr) - 1)
+        for s, k in fresh.items():
+            self.rows[k] = _project(self.rho, s, self.configs_arr, self.p.d)
+            self.ids[s] = k
+            self.states.append(s)
         self.tab = np.concatenate(
             (self.tab, np.full(len(fresh), -1, dtype=np.int64)))
         return np.array(out, dtype=np.int64)
@@ -196,6 +152,8 @@ class HTTable:
         flat = [(tr, len(s.blocks)) for s, ts in zip(sources, trans)
                 for tr in ts]
         t_sid = self.sids([tr.target for tr, _ in flat])
+        tabs = np.arange(len(self.ptr) - 1, len(self.ptr) - 1 + new.size)
+        self._fit(len(self.states), tabs[-1] + 1)
         t_rate = np.array([tr.rate for tr, _ in flat])
         t_kind = np.array([TRANSITION_KINDS.index(tr.kind) for tr, _ in flat],
                           dtype=np.int8)
@@ -203,15 +161,15 @@ class HTTable:
                            dtype=bool)
         sizes = np.array([len(ts) for ts in trans], dtype=np.int64)
         ends = np.cumsum(sizes)
-        num = np.empty((new.size, self.store.width))
-        for i, (a, b) in enumerate(zip(ends - sizes, ends)):
-            num[i] = t_rate[a:b] @ self.store.rows(t_sid[a:b])
-        den = self.store.rows(new)
+        at = self.top - 2 * tabs
+        for r, a, b in zip(at, ends - sizes, ends):
+            self.rows[r] = t_rate[a:b] @ self.rows[t_sid[a:b]]
+        num, den = self.rows[at], self.rows[new]
         with np.errstate(divide="ignore", invalid="ignore"):
             ratio = np.where(den > 0.0, num / np.maximum(den, 1e-300), 0.0)
-        self.tab[new] = self.num.append(num)
-        self.suffix_max.append(
-            np.maximum.accumulate(ratio[:, ::-1], axis=1)[:, ::-1])
+        self.rows[at - 1] = np.maximum.accumulate(
+            ratio[:, ::-1], axis=1)[:, ::-1]
+        self.tab[new] = tabs
         self.ptr = np.concatenate((self.ptr, ends + self.ptr[-1]))
         self.t_sid = np.concatenate((self.t_sid, t_sid))
         self.t_rate = np.concatenate((self.t_rate, t_rate))
@@ -221,7 +179,7 @@ class HTTable:
     def value(self, t: float, state: BpState) -> float:
         if not (0.0 <= t <= self.T):
             raise ParamError("time outside horizon")
-        ser = self.store.row(self.sids((state,)).item(0))
+        ser = self.rows[self.sids((state,)).item(0)]
         k = min(int(t / self.step), len(self.grid) - 2)
         theta = (t - self.grid[k]) / self.step
         return float((1.0 - theta) * ser[k] + theta * ser[k + 1])
@@ -247,10 +205,9 @@ class HTransformedKernel:
         return self.ht.value(t, state)
 
 
-def make_homogeneous_kernel(p: ModelParams, start: BpState,
-                            law=None) -> HTransformedKernel:
+def make_homogeneous_kernel(p: ModelParams, start: BpState) -> HTransformedKernel:
     gen = build_bp_generator(p, start)
-    h = compute_h(p, gen, law=law)
+    h = compute_h(p, gen)
     return HTransformedKernel(p=p, gen=gen, h=h)
 
 
@@ -296,7 +253,7 @@ def sample_transformed_path(kernel: HTransformedKernel, start: BpState, rng,
     ht = kernel.ht
     if t_end > ht.T:
         raise ParamError("horizon beyond table range")
-    store = ht.store
+    rows = ht.rows
     last = len(ht.grid) - 2
     sid = ht.ids.get(start)
     if sid is None:
@@ -308,10 +265,10 @@ def sample_transformed_path(kernel: HTransformedKernel, start: BpState, rng,
             ht.build(np.array((sid,)))
             i = ht.tab.item(sid)
         k0 = min(int(t / ht.step), last)
-        lam_bar = ht.suffix_max.row(i).item(k0)
+        lam_bar = rows.item(ht.top - 2 * i - 1, k0)
         if lam_bar <= 0.0:
             break
-        den, num = store.row(sid), ht.num.row(i)
+        den, num = rows[sid], rows[ht.top - 2 * i]
         while True:
             t = t + rng.exponential(1.0 / lam_bar)
             if t >= t_end:
@@ -330,10 +287,10 @@ def sample_transformed_path(kernel: HTransformedKernel, start: BpState, rng,
         if t >= t_end:
             break
         lo, hi = ht.ptr.item(i), ht.ptr.item(i + 1)
-        rows = [store.row(j) for j in ht.t_sid[lo:hi].tolist()]
         cum = list(itertools.accumulate(
-            rate * (w0 * ser.item(k) + theta * ser.item(k + 1))
-            for rate, ser in zip(ht.t_rate[lo:hi].tolist(), rows)))
+            rate * (w0 * rows.item(j, k) + theta * rows.item(j, k + 1))
+            for rate, j in zip(ht.t_rate[lo:hi].tolist(),
+                               ht.t_sid[lo:hi].tolist())))
         j = lo + min(bisect.bisect_right(cum, rng.random() * cum[-1]),
                      hi - lo - 1)
         sid = ht.t_sid.item(j)
@@ -355,7 +312,7 @@ def _coalescence_block(ht: HTTable, start: int, n: int, rng) -> np.ndarray:
     with odds rate * interpolated target series, and a merge retires the
     replicate.  Each round first builds the tables of new states.
     """
-    store, grid, step, T = ht.store, ht.grid, ht.step, ht.T
+    rows, grid, step, T = ht.rows, ht.grid, ht.step, ht.T
     last = len(grid) - 2
     out = np.full(n, np.inf)
     rep = np.arange(n)
@@ -365,7 +322,7 @@ def _coalescence_block(ht: HTTable, start: int, n: int, rng) -> np.ndarray:
         ht.build(sid)
         tab = ht.tab[sid]
         k = np.minimum((t / step).astype(np.int64), last)
-        lam = ht.suffix_max.at(tab, k[:, None])[:, 0]
+        lam = rows[ht.top - 2 * tab - 1, k]
         t = t + rng.exponential(1.0 / np.where(lam > 0.0, lam, 1.0))
         go = (lam > 0.0) & (t < T)
         rep, t, sid, tab, lam = rep[go], t[go], sid[go], tab[go], lam[go]
@@ -375,10 +332,10 @@ def _coalescence_block(ht: HTTable, start: int, n: int, rng) -> np.ndarray:
         theta = (t - grid[k]) / step
         cols = k[:, None] + (0, 1)
         w = np.column_stack((1.0 - theta, theta))
-        den = (w * store.at(sid, cols)).sum(axis=1)
+        den = (w * rows[sid[:, None], cols]).sum(axis=1)
         if np.any(den <= 0.0):
             raise ParamError("h positivity violated")
-        lam_t = (w * ht.num.at(tab, cols)).sum(axis=1) / den
+        lam_t = (w * rows[ht.top - 2 * tab[:, None], cols]).sum(axis=1) / den
         acc = np.flatnonzero(rng.random(rep.size) * lam < lam_t)
         if not acc.size:
             continue
@@ -390,7 +347,7 @@ def _coalescence_block(ht: HTTable, start: int, n: int, rng) -> np.ndarray:
         pos = np.arange(ends[-1]) + np.repeat(lo - (ends - cnt), cnt)
         g = acc[owner]
         weight = ht.t_rate[pos] * (
-            w[g] * store.at(ht.t_sid[pos], cols[g])).sum(axis=1)
+            w[g] * rows[ht.t_sid[pos, None], cols[g]]).sum(axis=1)
         cum = np.cumsum(weight)
         base = np.concatenate(((0.0,), cum))[ends - cnt]
         x = base + rng.random(acc.size) * (cum[ends - 1] - base)

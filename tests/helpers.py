@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 
-from moranlines import ModelParams, validate_params
+from moranlines import BpState, ModelParams, make_state, validate_params
 
 
 def mk(N, d=2, B=1.0, b=None, S=0.0, chi=None) -> ModelParams:
@@ -51,3 +51,22 @@ def batch_means(values, weights, n_batches=50):
         for a, b in zip(edges[:-1], edges[1:])
     ])
     return float(means.mean()), 3.0 * float(means.std(ddof=1) / math.sqrt(n_batches))
+
+
+def permute_type_config(config, perm):
+    """Relabel sites of a configuration: site i becomes perm[i]."""
+    out = [0] * len(config)
+    for i, u in enumerate(config):
+        out[perm[i]] = u
+    return tuple(out)
+
+
+def permute_bp_state(s: BpState, perm) -> BpState:
+    """Relabel sites of a backward state by the same permutation."""
+    pairs = sorted(zip((perm[j] for j in s.j_sites),
+                       ((u, perm[i]) for (u, i) in s.marks)))
+    new_active = [None] * s.N
+    for i, sub in enumerate(s.active):
+        new_active[perm[i]] = sub
+    return make_state(tuple(j for j, _ in pairs), tuple(m for _, m in pairs),
+                      new_active, s.d)

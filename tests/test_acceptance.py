@@ -205,7 +205,7 @@ def test_criterion_09_harmonic_h():
             tag_all = {i: i % 2 for i in range(N)}
             for xi in (tag_all, {1: 0}):
                 gen = build_bp_generator(p, canonical_start(p, xi))
-                h = compute_h(p, gen, verify=False)
+                h = compute_h(p, gen)
                 worst = max(worst, harmonic_residual(gen, h))
     assert worst <= 1e-8
     _pass(9, f"max harmonic residual {worst:.2e}", t0, 60.0)

@@ -562,6 +562,17 @@ def _huge_s(payload):
     return {**payload, "model": {**payload["model"], "N": 10**12, "S": 10**12}}
 
 
+# conditioned-distance at horizon 16: 16,001 grid times per row
+CONDITIONED_TABLE_CFG = {
+    "model": {"N": 4, "d": 3, "B": 1.0, "S": 1.0,
+              "b": [[0.4, 0.3, 0.3], [0.3, 0.4, 0.3], [0.3, 0.3, 0.4]],
+              "chi": [0.0, 0.5, 1.0]},
+    "horizon": 16.0,
+    "replicates": 3000,
+    "tagged": {"0": 0, "1": 2},
+    "seed": 5,
+}
+
 # a population of 10^12 would take terabytes (d^N configurations, N-site
 # start states, an N + 1 law vector); each refusal comes before any of it
 RUN_BUDGET_CASES = [
@@ -588,6 +599,9 @@ RUN_BUDGET_CASES = [
     ("huge_reps_conditioned", "conditioned-distance",
      {**CONDITIONED_CFG, "replicates": 10**12},
      "replicate count above its cap"),
+    # a 9.9 MiB grid law whose series and thinning tables would take 622 MiB
+    ("conditioned_table", "conditioned-distance", CONDITIONED_TABLE_CFG,
+     "horizon table above the dense budget"),
 ]
 
 

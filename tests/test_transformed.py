@@ -64,7 +64,7 @@ def test_stationary_inhomogeneous_matches_homogeneous():
     p = mk(2, S=1.0, b=((0.7, 0.3), (0.4, 0.6)))
     law = finite_stationary_law(p)
     start = canonical_start(p, {0: 0, 1: 1})
-    hk = make_homogeneous_kernel(p, start, law=law)
+    hk = make_homogeneous_kernel(p, start)
     ik = make_inhomogeneous_kernel(p, law, 1.0)
     for state in hk.gen.states:
         fixed = transformed_rates(hk, state)
@@ -111,6 +111,26 @@ def test_table_byte_budget_refuses_before_allocating(monkeypatch):
         HTTable(mk(10), (0.5, 0.5), 1000.0)
 
 
+def test_table_rows_keep_to_the_dense_budget(monkeypatch):
+    # the grid law and every row the table stores share DENSE_SOLVE_BYTES
+    p = mk(3, S=1.0, b=((0.7, 0.3), (0.2, 0.8)))
+    nu, T = (0.15, 0.85), 0.5
+    ht = HTTable(p, nu, T)
+    assert ht.rho.nbytes + ht.rows.nbytes <= model.DENSE_SOLVE_BYTES
+    # room for five rows beside the grid law: the pair start's series fits,
+    # its targets' series and its tables do not
+    monkeypatch.setattr(transformed, "DENSE_SOLVE_BYTES",
+                        ht.rho.nbytes + 5 * ht.rows[0].nbytes)
+    small = make_inhomogeneous_kernel(p, nu, T)
+    assert len(small.ht.rows) == 5
+    start = canonical_start(p, {0: 0, 1: 1})
+    with pytest.raises(BudgetError, match="horizon table above the dense"):
+        sample_transformed_path(small, start, philox(39, 0), t_end=T)
+    assert len(small.ht.states) == 1 and small.ht.tab.tolist() == [-1]
+    with pytest.raises(BudgetError, match="horizon table above the dense"):
+        conditioned_coalescence_times(p, T, 10, 39, {0: 0, 1: 1}, nu, [0])
+
+
 def test_state_tables_match_rates_and_dominate():
     # the thinning samplers read the horizon table's thinning tables, not
     # transformed_rates: a state's total-rate series must agree with the
@@ -128,8 +148,8 @@ def test_state_tables_match_rates_and_dominate():
         sid = ht.sids((state,))
         ht.build(sid)
         tab = ht.tab[sid[0]]
-        num, den = ht.num.row(tab), ht.store.row(sid[0])
-        suffix_max = ht.suffix_max.row(tab)
+        num, den = ht.rows[ht.top - 2 * tab], ht.rows[sid[0]]
+        suffix_max = ht.rows[ht.top - 2 * tab - 1]
 
         def total(t):
             return np.interp(t, ht.grid, num) / np.interp(t, ht.grid, den)
@@ -491,7 +511,7 @@ def test_interface_errors():
     with pytest.raises(ParamError, match="horizon beyond table range"):
         sample_transformed_path(ik, pair, rng, t_end=3.0)
 
-    hk = make_homogeneous_kernel(p, pair, law=finite_stationary_law(p))
+    hk = make_homogeneous_kernel(p, pair)
     outside = canonical_start(mk(2, d=3), {0: 2, 1: 2})
     with pytest.raises(ParamError, match="outside the kernel's reachable set"):
         hk.h_value(outside)
