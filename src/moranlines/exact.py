@@ -190,17 +190,35 @@ def build_bp_generator(p: ModelParams, starts) -> GeneratorMatrix:
         lambda s: feynman_kac_V(s, p))
 
 
+def _truncation(v: np.ndarray, mu: float, scale: float) -> int:
+    """Poisson truncation K for e^{mu (P - I)} v, whose result is then
+    multiplied by `scale`: the smallest K > mu (plus two) at which the
+    Chernoff tail e^{-mu} (e mu / K)^K drops below EXPM_TOL per entry,
+    refused above EXPM_K_CAP.  poisson.isf would be the obvious choice but
+    returns NaN for quantiles under ~1e-16, which the scaling reaches
+    routinely."""
+    bound = max(float(np.max(np.abs(v))), float(np.sum(np.abs(v))), 1.0)
+    tol_eff = max(EXPM_TOL / (scale * bound), 1e-300)
+    logq = math.log(tol_eff)
+    # the search stops past the cap, so an infinite mu is never converted
+    K = int(min(mu, EXPM_K_CAP)) + 1
+    while K <= EXPM_K_CAP and -mu + K * (1.0 + math.log(mu / K)) > logq:
+        K += max(2, K // 8)
+    K += 2
+    if K > EXPM_K_CAP:
+        raise BudgetError("Poisson truncation above its cap; shorten the time")
+    return K
+
+
 def expm_apply(gen: GeneratorMatrix, v, t: float,
                transpose: bool = False) -> np.ndarray:
     """Apply e^{t(Q + diag V)} (V from gen.fk_diagonal, if any) to v by
     uniformization.
 
     The weighted semigroup is shifted by c = max V so that the jump matrix
-    stays substochastic; the Poisson series is truncated once the tail
-    bound drops below EXPM_TOL per entry, and refused when that takes
-    more than EXPM_K_CAP terms.  The jump matrix comes from the generator
-    (built once); the truncation and weights depend on t and v and are
-    computed per call.
+    stays substochastic; the Poisson series is truncated by `_truncation`.
+    The jump matrix comes from the generator (built once); the truncation
+    and weights depend on t and v and are computed per call.
     """
     if t < 0:
         raise ParamError("nonnegative time required")
@@ -215,19 +233,7 @@ def expm_apply(gen: GeneratorMatrix, v, t: float,
     if transpose:
         P = gen._jump_transposed
     mu = lam * t
-    bound = max(float(np.max(np.abs(v))), float(np.sum(np.abs(v))), 1.0)
-    tol_eff = max(EXPM_TOL / (np.exp(c * t) * bound), 1e-300)
-    # smallest K > mu with the Chernoff tail e^{-mu} (e mu / K)^K below
-    # tol_eff; poisson.isf would be the obvious choice but returns NaN for
-    # quantiles under ~1e-16, which the exp(c t) scaling reaches routinely
-    logq = math.log(tol_eff)
-    # the search stops past the cap, so an infinite mu is never converted
-    K = int(min(mu, EXPM_K_CAP)) + 1
-    while K <= EXPM_K_CAP and -mu + K * (1.0 + math.log(mu / K)) > logq:
-        K += max(2, K // 8)
-    K += 2
-    if K > EXPM_K_CAP:
-        raise BudgetError("Poisson truncation above its cap; shorten the time")
+    K = _truncation(v, mu, np.exp(c * t))
     weights = poisson.pmf(np.arange(K + 1), mu)
     acc = weights[0] * v
     w = v
@@ -236,6 +242,43 @@ def expm_apply(gen: GeneratorMatrix, v, t: float,
         if weights[k] > 0.0:
             acc = acc + weights[k] * w
     return np.exp(c * t) * acc
+
+
+def _law_grid(gen: GeneratorMatrix, mu_vec: np.ndarray, step: float,
+              n: int) -> np.ndarray:
+    """(n + 1) x gen.n array whose row i is the law mu_vec evolved for
+    time i * step, by the transposed semigroup of gen.
+
+    The grid is cut into windows of r rows, r * step at most one unit of
+    uniformized time (one row when a single step is longer).  Every
+    window shares one table of Poisson weights pmf(k; lam * step * i),
+    i = 1..r, truncated at lam * r * step; in each window K products of
+    P^T with the window's first row are accumulated into its other rows
+    in place.
+    """
+    c, lam, P = gen._uniformized
+    times = step * np.arange(n + 1)
+    if P is None:
+        return np.exp(c * times)[:, None] * mu_vec
+    PT = gen._jump_transposed
+    r = max(1, min(n, math.floor(1.0 / (lam * step))))
+    scale = np.exp(c * times[1:r + 1])
+    K = _truncation(mu_vec, lam * times[r], scale[-1])
+    table = scale[:, None] * poisson.pmf(np.arange(K + 1),
+                                         lam * times[1:r + 1, None])
+    out = np.empty((n + 1, gen.n))
+    out[0] = mu_vec
+    term = np.empty((r, gen.n))
+    for a in range(0, n, r):
+        m = min(r, n - a)
+        rows, tab, part = out[a + 1:a + 1 + m], table[:m], term[:m]
+        w = out[a]
+        np.multiply(tab[:, :1], w, out=rows)
+        for k in range(1, K + 1):
+            w = PT @ w
+            np.multiply(tab[:, k:k + 1], w, out=part)
+            rows += part
+    return out
 
 
 def h_star_vector(s: BpState, configs_arr: np.ndarray, d: int) -> np.ndarray:

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import bisect
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,9 +33,9 @@ from .model import (DENSE_SOLVE_BYTES, BudgetError, ModelParams, ParamError,
 from .backward import (TRANSITION_KINDS, BpPath, BpState, BpTransition,
                        LinePath, _jump_path, canonical_start,
                        enumerate_transitions, reverse_to_lines)
-from .exact import (GeneratorMatrix, _project, _type_configs,
+from .exact import (GeneratorMatrix, _law_grid, _project, _type_configs,
                     build_bp_generator, build_type_generator, compute_h,
-                    config_law_vector, expm_apply)
+                    config_law_vector)
 from .forward import (BLOCK_REPS, LineageForest, _check_blocks, init_forest,
                       run_until)
 
@@ -66,8 +67,11 @@ class HTTable:
     interpolated values per backward state.  Interpolation error is
     O(step^2) in t and is documented as part of the sampler's budget;
     exact single-time values should use the direct computation instead.
-    The grid law holds (grid points) x d^N floats; above DENSE_SOLVE_BYTES
-    it is refused before the type chain is built or stepped.
+    The grid law holds (grid points) x d^N floats, computed by one
+    uniformized pass over the grid (`exact._law_grid`), whose rows agree
+    with a lone semigroup application at each grid time; above
+    DENSE_SOLVE_BYTES it is refused before the type chain is built or
+    evolved.
 
     Every series and thinning table lives in one array `rows`, reserved
     up front with what DENSE_SOLVE_BYTES leaves beside the grid law; its
@@ -98,11 +102,11 @@ class HTTable:
         self.step = T / n
         self.configs_arr = np.array(type_gen.states, dtype=np.int64)
         # rho[k] = law of the types after running the forward chain for
-        # time T - grid[k]; built by stepping the transposed semigroup
-        rho = np.empty((n + 1, len(type_gen.states)))
-        rho[n] = config_law_vector(p, mu, type_gen.states)
-        for k in range(n - 1, -1, -1):
-            rho[k] = expm_apply(type_gen, rho[k + 1], self.step, transpose=True)
+        # time T - grid[k]: the grid law of one uniformized pass, its rows
+        # reversed in place
+        rho = _law_grid(type_gen, config_law_vector(p, mu, type_gen.states),
+                        self.step, n)
+        _reverse_rows(rho)
         self.rho = rho
         self.rows = np.empty(
             ((DENSE_SOLVE_BYTES - rho.nbytes) // (8 * (n + 1)), n + 1))
@@ -183,6 +187,19 @@ class HTTable:
         k = min(int(t / self.step), len(self.grid) - 2)
         theta = (t - self.grid[k]) / self.step
         return float((1.0 - theta) * ser[k] + theta * ser[k + 1])
+
+
+def _reverse_rows(a: np.ndarray) -> None:
+    """Reverse the rows of `a` in place, swapping blocks of about
+    sqrt(len(a)) rows through one small copy, so that neither the copies
+    nor the loop grow with the whole array."""
+    last, half = len(a) - 1, len(a) // 2
+    size = max(1, math.isqrt(half))
+    for i in range(0, half, size):
+        j = min(i + size, half)
+        top = a[i:j].copy()
+        a[i:j] = a[last - j + 1:last - i + 1][::-1]
+        a[last - j + 1:last - i + 1] = top[::-1]
 
 
 @dataclass(frozen=True)

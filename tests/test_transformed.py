@@ -14,7 +14,9 @@ from moranlines import (BudgetError, ParamError, canonical_start,
                         enumerate_transitions, finite_stationary_law,
                         init_forest, make_state, pair_distance_samples,
                         path_value, run_until)
-from moranlines.exact import build_bp_generator
+from moranlines.exact import (_law_grid, build_bp_generator,
+                              build_type_generator, config_law_vector,
+                              expm_apply)
 from moranlines.forward import BLOCK_REPS
 from moranlines.transformed import (HTTable, HTransformedKernel,
                                     conditioned_coalescence_times,
@@ -91,10 +93,51 @@ def test_table_values_match_closed_form():
         assert table.value(r, merged) == pytest.approx(nu0, abs=1e-6)
 
 
+@pytest.mark.parametrize("p, nu, T, stride", [
+    (mk(2, B=0.0), (0.5, 0.5), 2.0, 1),
+    (mk(4, d=3, B=1.0, S=1.0), np.full(3, 1 / 3), 1.0, 1),
+    # 30,001 grid rows, over which stepping one grid step at a time
+    # drifted to 4.5e-13
+    (mk(3, B=0.05, S=1.0), (0.15, 0.85), 30.0, 13),
+], ids=["conditioned-n2", "N4-d3", "N3-B0.05-T30"])
+def test_table_grid_law_matches_lone_semigroup_applications(p, nu, T, stride):
+    # each row of the grid law is the start law evolved for T - grid[k],
+    # as one semigroup application of that length computes it
+    ht = HTTable(p, nu, T)
+    gen = build_type_generator(p)
+    mu = config_law_vector(p, nu, gen.states)
+    n = len(ht.grid) - 1
+    for k in sorted({*range(0, n + 1, stride), n}):
+        want = expm_apply(gen, mu, T - ht.grid[k], transpose=True)
+        assert np.max(np.abs(ht.rho[k] - want)) <= 1e-13, k
+    assert np.max(np.abs(ht.rho.sum(axis=1) - 1.0)) <= 1e-13
+    assert ht.rho.min() >= 0.0
+
+
+def test_law_grid_windows_of_one_row():
+    # a grid step longer than one unit of uniformized time gives windows
+    # of a single row, each with its own long Poisson series
+    p = mk(3, d=3, B=1.0, S=1.0)
+    gen = build_type_generator(p)
+    mu = config_law_vector(p, (0.2, 0.5, 0.3), gen.states)
+    step = 0.7
+    assert gen._uniformized[1] * step > 1.0
+    law = _law_grid(gen, mu, step, 6)
+    assert law.shape == (7, gen.n)
+    for i in range(7):
+        want = expm_apply(gen, mu, i * step, transpose=True)
+        assert np.max(np.abs(law[i] - want)) <= 1e-13, i
+    # a chain that never jumps keeps its law at every grid time
+    still = build_type_generator(mk(1, B=0.0))
+    law = _law_grid(still, np.array([0.3, 0.7]), step, 3)
+    assert np.array_equal(law, np.tile([0.3, 0.7], (4, 1)))
+
+
 def test_table_byte_budget_refuses_before_allocating(monkeypatch):
-    # N = 10 at T = 1,000: 1,000,001 grid rows of 1,024 floats (8.2 GB) and
-    # a million semigroup steps.  The refusal must come before the table is
-    # allocated or stepped, so either one fails the test instead.
+    # N = 10 at T = 1,000: 1,000,001 grid rows of 1,024 floats (8.2 GB),
+    # evolved over a million grid steps.  The refusal must come before the
+    # table is allocated or its grid law computed, so either one fails the
+    # test instead.
     real_empty = np.empty
 
     def guarded_empty(shape, *args, **kwargs):
@@ -102,11 +145,11 @@ def test_table_byte_budget_refuses_before_allocating(monkeypatch):
             "table allocated before the budget check"
         return real_empty(shape, *args, **kwargs)
 
-    def no_step(*args, **kwargs):
-        raise AssertionError("table stepped before the budget check")
+    def no_grid(*args, **kwargs):
+        raise AssertionError("grid law computed before the budget check")
 
     monkeypatch.setattr(np, "empty", guarded_empty)
-    monkeypatch.setattr(transformed, "expm_apply", no_step)
+    monkeypatch.setattr(transformed, "_law_grid", no_grid)
     with pytest.raises(BudgetError, match="exact solve infeasible"):
         HTTable(mk(10), (0.5, 0.5), 1000.0)
 
@@ -223,10 +266,10 @@ def test_inhomogeneous_sampler_stream_is_pinned():
     got = [first_coalescence_time(sample_transformed_path(
         kernel, start, philox(5, rep), 1.0)) for rep in range(20)]
     assert got == [
-        0.45072486291357783, inf, inf, 0.8955536981439961, inf, inf, inf,
-        inf, 0.7876242633687965, 0.23696135334181184, inf,
-        0.7752719387004714, inf, 0.4589690365102721, inf,
-        0.8535625618269429, 0.38319037846642945, inf, 0.1003117693537816,
+        0.45072486291357866, inf, inf, 0.8955536981439962, inf, inf, inf,
+        inf, 0.7876242633687969, 0.2369613533418121, inf,
+        0.7752719387004717, inf, 0.45896903651027254, inf,
+        0.8535625618269433, 0.38319037846642984, inf, 0.10031176935378165,
         inf]
 
 
@@ -260,11 +303,11 @@ def test_block_sampler_stream_is_pinned():
     inf = float("inf")
     assert got.shape == (BLOCK_REPS,)
     assert got[:20].tolist() == [
-        inf, inf, 0.3767120399360929, 0.1645917039742031, inf,
-        0.33186084331539784, inf, inf, inf, 0.6685709363952775,
-        0.17529389491396496, 0.45090686718733475, 0.644850326357597, inf,
-        0.5359632791621336, inf, 0.5924255920487931, inf, inf,
-        0.9910192252761312]
+        inf, inf, 0.37671203993609315, 0.16459170397420325, inf,
+        0.3318608433153985, inf, inf, inf, 0.668570936395278,
+        0.17529389491396524, 0.4509068671873352, 0.644850326357597, inf,
+        0.5359632791621345, inf, 0.5924255920487939, inf, inf,
+        0.9910192252761332]
 
 
 def test_block_sampler_results_do_not_depend_on_the_block_split():
