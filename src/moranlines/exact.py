@@ -261,7 +261,8 @@ def _law_grid(gen: GeneratorMatrix, mu_vec: np.ndarray, step: float,
     if P is None:
         return np.exp(c * times)[:, None] * mu_vec
     PT = gen._jump_transposed
-    r = max(1, min(n, math.floor(1.0 / (lam * step))))
+    # min before int: a subnormal step makes 1 / (lam * step) infinite
+    r = max(1, int(min(n, 1.0 / (lam * step))))
     scale = np.exp(c * times[1:r + 1])
     K = _truncation(mu_vec, lam * times[r], scale[-1])
     table = scale[:, None] * poisson.pmf(np.arange(K + 1),

@@ -191,8 +191,8 @@ class HTTable:
 
 def _reverse_rows(a: np.ndarray) -> None:
     """Reverse the rows of `a` in place, swapping blocks of about
-    sqrt(len(a)) rows through one small copy, so that neither the copies
-    nor the loop grow with the whole array."""
+    sqrt(len(a)) rows through a copy of one block, so that both the copy
+    and the loop stay about sqrt(len(a)) long."""
     last, half = len(a) - 1, len(a) // 2
     size = max(1, math.isqrt(half))
     for i in range(0, half, size):

@@ -97,7 +97,7 @@ def test_table_values_match_closed_form():
     (mk(2, B=0.0), (0.5, 0.5), 2.0, 1),
     (mk(4, d=3, B=1.0, S=1.0), np.full(3, 1 / 3), 1.0, 1),
     # 30,001 grid rows, over which stepping one grid step at a time
-    # drifted to 4.5e-13
+    # drifted to 5.4e-13
     (mk(3, B=0.05, S=1.0), (0.15, 0.85), 30.0, 13),
 ], ids=["conditioned-n2", "N4-d3", "N3-B0.05-T30"])
 def test_table_grid_law_matches_lone_semigroup_applications(p, nu, T, stride):
@@ -127,10 +127,22 @@ def test_law_grid_windows_of_one_row():
     for i in range(7):
         want = expm_apply(gen, mu, i * step, transpose=True)
         assert np.max(np.abs(law[i] - want)) <= 1e-13, i
+    # a subnormal step: one window, the law unchanged to rounding
+    law = _law_grid(gen, mu, 1e-320, 2)
+    assert np.max(np.abs(law - mu)) <= 1e-15
     # a chain that never jumps keeps its law at every grid time
     still = build_type_generator(mk(1, B=0.0))
     law = _law_grid(still, np.array([0.3, 0.7]), step, 3)
     assert np.array_equal(law, np.tile([0.3, 0.7], (4, 1)))
+
+
+def test_reverse_rows_in_place():
+    # odd and even row counts, with and without a partial last block
+    for length in range(1, 40):
+        a = np.arange(3.0 * length).reshape(length, 3)
+        want = a[::-1].copy()
+        transformed._reverse_rows(a)
+        assert np.array_equal(a, want), length
 
 
 def test_table_byte_budget_refuses_before_allocating(monkeypatch):
