@@ -405,8 +405,9 @@ def simulate_bp(start: BpState, p: ModelParams, T: float, rng,
     compiled row (transitions, cumulative rates, total rate, links to the
     targets' rows).
     """
-    if T < 0:
-        raise ParamError("nonnegative horizon required")
+    # NaN fails every comparison, so this also refuses it
+    if not 0.0 <= T < math.inf:
+        raise ParamError("finite nonnegative horizon required")
     cache = transition_cache if transition_cache is not None else {}
     return _jump_path(start, p, T, rng, cache,
                       lambda s: enumerate_transitions(s, p))

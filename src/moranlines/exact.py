@@ -2,10 +2,12 @@
 
 Builds sparse generators for the type-configuration chain (d^N states)
 and for the backward chain restricted to its reachable set, applies
-e^{tQ} or the weighted semigroup e^{t(Q+diag V)} to vectors by
-uniformization, and checks the moment identity tying the two chains
-together: the expected indicator-product under the forward evolution
-equals the weighted backward expectation of its initial average.
+e^{tQ} or the weighted semigroup e^{t(Q+diag V)} to vectors by one
+uniformized pass over a uniform time grid (`_law_grid`, whose one-step
+case is `expm_apply`), and checks the moment identity tying the two
+chains together: the expected indicator-product under the forward
+evolution equals the weighted backward expectation of its initial
+average.
 """
 from __future__ import annotations
 
@@ -220,65 +222,58 @@ def expm_apply(gen: GeneratorMatrix, v, t: float,
     The jump matrix comes from the generator (built once); the truncation
     and weights depend on t and v and are computed per call.
     """
-    if t < 0:
+    # NaN fails every comparison, so this also refuses it
+    if not t >= 0:
         raise ParamError("nonnegative time required")
     v = np.asarray(v, dtype=float)
     if v.shape != (gen.n,):
         raise ParamError("vector length must match state count")
     if t == 0.0:
         return v.copy()
-    c, lam, P = gen._uniformized
-    if P is None:
-        return np.exp(c * t) * v
-    if transpose:
-        P = gen._jump_transposed
-    mu = lam * t
-    K = _truncation(v, mu, np.exp(c * t))
-    weights = poisson.pmf(np.arange(K + 1), mu)
-    acc = weights[0] * v
-    w = v
-    for k in range(1, K + 1):
-        w = P @ w
-        if weights[k] > 0.0:
-            acc = acc + weights[k] * w
-    return np.exp(c * t) * acc
+    return _law_grid(gen, v, t, 1, transpose)[0]
 
 
-def _law_grid(gen: GeneratorMatrix, mu_vec: np.ndarray, step: float,
-              n: int) -> np.ndarray:
-    """(n + 1) x gen.n array whose row i is the law mu_vec evolved for
-    time i * step, by the transposed semigroup of gen.
+def _law_grid(gen: GeneratorMatrix, v: np.ndarray, step: float, n: int,
+              transpose: bool) -> np.ndarray:
+    """(n + 1) x gen.n array whose row i is v evolved for time
+    (n - i) * step by the semigroup of gen, or by its transpose: the rows
+    run in backward time, and the last is v.  expm_apply is the case
+    n = 1.
 
-    The grid is cut into windows of r rows, r * step at most one unit of
-    uniformized time (one row when a single step is longer).  Every
+    The grid is cut into windows of r steps, r * step at most one unit of
+    uniformized time (one step when a single step is longer).  Every
     window shares one table of Poisson weights pmf(k; lam * step * i),
-    i = 1..r, truncated at lam * r * step; in each window K products of
-    P^T with the window's first row are accumulated into its other rows
-    in place.
+    i = 1..r, truncated for lam * step * r.  A window accumulates K
+    products of the jump matrix with its start row into a contiguous
+    buffer, scales row i by e^{c * step * i} after the sum, and copies
+    the buffer into place reversed.
     """
     c, lam, P = gen._uniformized
-    times = step * np.arange(n + 1)
     if P is None:
-        return np.exp(c * times)[:, None] * mu_vec
-    PT = gen._jump_transposed
+        return np.exp(c * (step * np.arange(n, -1, -1)))[:, None] * v
+    if transpose:
+        P = gen._jump_transposed
     # min before int: a subnormal step makes 1 / (lam * step) infinite
     r = max(1, int(min(n, 1.0 / (lam * step))))
-    scale = np.exp(c * times[1:r + 1])
-    K = _truncation(mu_vec, lam * times[r], scale[-1])
-    table = scale[:, None] * poisson.pmf(np.arange(K + 1),
-                                         lam * times[1:r + 1, None])
+    K = _truncation(v, lam * (step * r), np.exp(c * (step * r)))
+    times = step * np.arange(1, r + 1)[:, None]
+    weights = poisson.pmf(np.arange(K + 1), lam * times)
+    scale = np.exp(c * times)
     out = np.empty((n + 1, gen.n))
-    out[0] = mu_vec
-    term = np.empty((r, gen.n))
-    for a in range(0, n, r):
-        m = min(r, n - a)
-        rows, tab, part = out[a + 1:a + 1 + m], table[:m], term[:m]
+    out[n] = v
+    acc, term = np.empty((r, gen.n)), np.empty((r, gen.n))
+    for a in range(n, 0, -r):
+        m = min(r, a)
+        rows, part = acc[:m], term[:m]
         w = out[a]
-        np.multiply(tab[:, :1], w, out=rows)
-        for k in range(1, K + 1):
-            w = PT @ w
-            np.multiply(tab[:, k:k + 1], w, out=part)
+        cols = weights[:m].T[:, :, None]  # cols[k] is (m, 1)
+        np.multiply(cols[0], w, out=rows)
+        for col in cols[1:]:
+            w = P @ w
+            np.multiply(col, w, out=part)
             rows += part
+        rows *= scale[:m]
+        out[a - m:a] = rows[::-1]
     return out
 
 

@@ -155,8 +155,9 @@ def run_until(forest: LineageForest, p: ModelParams, T: float, rng,
     interval is truncated so no event lands beyond T.  A trace list, if
     given, collects every applied HmmEvent.  The total event rate
     N*B + N^2/2 counts no-op mutations and self-copies."""
-    if T < forest.now:
-        raise ParamError("horizon before current time")
+    # NaN fails every comparison, so this also refuses it
+    if not forest.now <= T < math.inf:
+        raise ParamError("horizon before current time or not finite")
     total = p.N * p.B + p.N * p.N / 2.0
     while True:
         dt = rng.exponential(1.0 / total)

@@ -68,8 +68,9 @@ class HTTable:
     O(step^2) in t and is documented as part of the sampler's budget;
     exact single-time values should use the direct computation instead.
     The grid law holds (grid points) x d^N floats, computed by one
-    uniformized pass over the grid (`exact._law_grid`), whose rows agree
-    with a lone semigroup application at each grid time; above
+    uniformized pass over the grid (`exact._law_grid`, which returns its
+    rows in backward time, the order read here); each row is what a
+    lone semigroup application gives at its grid time.  Above
     DENSE_SOLVE_BYTES it is refused before the type chain is built or
     evolved.
 
@@ -102,14 +103,13 @@ class HTTable:
         self.step = T / n
         self.configs_arr = np.array(type_gen.states, dtype=np.int64)
         # rho[k] = law of the types after running the forward chain for
-        # time T - grid[k]: the grid law of one uniformized pass, its rows
-        # reversed in place
-        rho = _law_grid(type_gen, config_law_vector(p, mu, type_gen.states),
-                        self.step, n)
-        _reverse_rows(rho)
-        self.rho = rho
+        # time T - grid[k]: the grid law of one uniformized pass, whose
+        # rows come in backward time
+        self.rho = _law_grid(
+            type_gen, config_law_vector(p, mu, type_gen.states), self.step,
+            n, transpose=True)
         self.rows = np.empty(
-            ((DENSE_SOLVE_BYTES - rho.nbytes) // (8 * (n + 1)), n + 1))
+            ((DENSE_SOLVE_BYTES - self.rho.nbytes) // (8 * (n + 1)), n + 1))
         self.top = len(self.rows) - 1
         self.ids = {}
         self.states = []
@@ -189,19 +189,6 @@ class HTTable:
         return float((1.0 - theta) * ser[k] + theta * ser[k + 1])
 
 
-def _reverse_rows(a: np.ndarray) -> None:
-    """Reverse the rows of `a` in place, swapping blocks of about
-    sqrt(len(a)) rows through a copy of one block, so that both the copy
-    and the loop stay about sqrt(len(a)) long."""
-    last, half = len(a) - 1, len(a) // 2
-    size = max(1, math.isqrt(half))
-    for i in range(0, half, size):
-        j = min(i + size, half)
-        top = a[i:j].copy()
-        a[i:j] = a[last - j + 1:last - i + 1][::-1]
-        a[last - j + 1:last - i + 1] = top[::-1]
-
-
 @dataclass(frozen=True)
 class HTransformedKernel:
     """Reweighted backward dynamics, time-inhomogeneous when ht is set."""
@@ -262,6 +249,9 @@ def sample_transformed_path(kernel: HTransformedKernel, start: BpState, rng,
     maximum of the total-rate knot values in the kernel's `HTTable`,
     which dominates the true rate on the remaining span.
     """
+    # NaN fails every comparison, so this also refuses it
+    if not 0.0 <= t_end < math.inf:
+        raise ParamError("finite nonnegative horizon required")
     if kernel.ht is None:
         return _jump_path(start, kernel.p, t_end, rng,
                           cache if cache is not None else {},

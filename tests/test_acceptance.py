@@ -223,3 +223,35 @@ def test_criterion_10_lemma_ode_residuals():
         worst = max(worst, rep.max_system, rep.max_pf)
     assert worst <= 1e-8
     _pass(10, f"max residual {worst:.2e}", t0, 60.0)
+
+
+def test_criterion_11_distances_smaller_under_selection():
+    # the neutral pair coalesces at rate 1, so P(D > 2t) <= e^{-t} under
+    # selection: every model of the fixed grid, finite and limit chains,
+    # with parent-independent two-type mutation
+    t0 = time.monotonic()
+    ts = (0.05, 0.1, 0.25, 0.5, 1.0, 2.0, 4.0, 8.0)
+    specs = {}
+    for N in (2, 3, 5, 10, 40):
+        for B in (0.05, 0.5, 2.0, 10.0):
+            for b1 in (0.1, 0.5, 0.9):
+                b = ((1.0 - b1, b1), (1.0 - b1, b1))
+                for S in sorted({0.5, min(N, 5), min(N, 20)}):
+                    p = mk(N, B=B, b=b, S=float(S))
+                    specs["finite", N, B, b1, S] = DistChainSpec.finite_n(p)
+                    if N == 40:
+                        specs["limit", N, B, b1, S] = DistChainSpec.limit(p)
+    assert sum(key[0] == "finite" for key in specs) == 144
+    assert sum(key[0] == "limit" for key in specs) == 36
+    worst = {"finite": -math.inf, "limit": -math.inf}
+    failures = []
+    for key, spec in specs.items():
+        table = dist_survival(spec, ts, (0,))
+        for t in ts:
+            excess = table.pf_value(0, t) - math.exp(-t)
+            worst[key[0]] = max(worst[key[0]], excess)
+            if excess > 1e-13:
+                failures.append((key, t, excess))
+    assert not failures, failures
+    _pass(11, f"max excess finite {worst['finite']:.2e}, "
+              f"limit {worst['limit']:.2e}", t0, 30.0)

@@ -167,6 +167,15 @@ def test_simulate_bp_zero_horizon_and_errors():
         path.state_at(0.5)
 
 
+@pytest.mark.parametrize("T", [math.nan, math.inf, -1.0])
+def test_simulate_bp_refuses_bad_horizons(T):
+    # a NaN or infinite horizon would never be reached
+    p = mk(3)
+    s = canonical_start(p, {0: 0})
+    with pytest.raises(ParamError, match="nonnegative horizon"):
+        simulate_bp(s, p, T, philox(21, 0))
+
+
 def test_simulate_bp_draw_order_is_pinned():
     # recorded from a seeded run; a change in the order or number of random
     # draws of the jump-path loop changes the event count or kinds

@@ -247,8 +247,9 @@ def test_expm_time_zero_and_semigroup():
 def test_expm_errors():
     p = mk(2)
     gen = build_type_generator(p)
-    with pytest.raises(ParamError, match="nonnegative time required"):
-        expm_apply(gen, np.ones(gen.n), -0.1)
+    for t in (-0.1, math.nan):
+        with pytest.raises(ParamError, match="nonnegative time required"):
+            expm_apply(gen, np.ones(gen.n), t)
     with pytest.raises(ParamError, match="vector length"):
         expm_apply(gen, np.ones(gen.n + 1), 0.5)
 

@@ -86,6 +86,16 @@ def test_run_until_exact_horizon_and_errors():
         run_until(f, p, 0.0, rng)
 
 
+@pytest.mark.parametrize("T", [math.nan, math.inf, -1.0])
+def test_run_until_refuses_bad_horizons(T):
+    # a NaN or infinite horizon would never be reached
+    p = mk(3)
+    f = init_forest(p, 0.0, (0, 1, 0))
+    with pytest.raises(ParamError, match="horizon before current time"):
+        run_until(f, p, T, philox(9, 0))
+    assert f.now == 0.0 and len(f.nodes) == 3
+
+
 def test_no_resampling_probability():
     # N=2, B=0, S=0: effective (src != dst) resamplings occur at rate 1
     p = mk(2, B=0.0)

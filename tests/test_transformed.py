@@ -116,33 +116,44 @@ def test_table_grid_law_matches_lone_semigroup_applications(p, nu, T, stride):
 
 def test_law_grid_windows_of_one_row():
     # a grid step longer than one unit of uniformized time gives windows
-    # of a single row, each with its own long Poisson series
+    # of a single row, each with its own long Poisson series; row n - i
+    # holds the law at time i * step
     p = mk(3, d=3, B=1.0, S=1.0)
     gen = build_type_generator(p)
     mu = config_law_vector(p, (0.2, 0.5, 0.3), gen.states)
     step = 0.7
     assert gen._uniformized[1] * step > 1.0
-    law = _law_grid(gen, mu, step, 6)
+    law = _law_grid(gen, mu, step, 6, transpose=True)
     assert law.shape == (7, gen.n)
     for i in range(7):
         want = expm_apply(gen, mu, i * step, transpose=True)
-        assert np.max(np.abs(law[i] - want)) <= 1e-13, i
+        assert np.max(np.abs(law[6 - i] - want)) <= 1e-13, i
     # a subnormal step: one window, the law unchanged to rounding
-    law = _law_grid(gen, mu, 1e-320, 2)
+    law = _law_grid(gen, mu, 1e-320, 2, transpose=True)
     assert np.max(np.abs(law - mu)) <= 1e-15
     # a chain that never jumps keeps its law at every grid time
     still = build_type_generator(mk(1, B=0.0))
-    law = _law_grid(still, np.array([0.3, 0.7]), step, 3)
+    law = _law_grid(still, np.array([0.3, 0.7]), step, 3, transpose=True)
     assert np.array_equal(law, np.tile([0.3, 0.7], (4, 1)))
 
 
-def test_reverse_rows_in_place():
-    # odd and even row counts, with and without a partial last block
-    for length in range(1, 40):
-        a = np.arange(3.0 * length).reshape(length, 3)
-        want = a[::-1].copy()
-        transformed._reverse_rows(a)
-        assert np.array_equal(a, want), length
+@pytest.mark.parametrize("transpose", [False, True])
+def test_law_grid_weighted_windows_match_lone_applications(transpose):
+    # the weighted backward generator has shift c = max V > 0, which
+    # scales each window's rows after its Poisson sum; four rows per
+    # window and ten steps leave a partial last window of two rows
+    p = mk(3, S=2.0, b=((0.7, 0.3), (0.2, 0.8)))
+    gen = build_bp_generator(p, canonical_start(p, {0: 0, 1: 1}))
+    c, lam, _ = gen._uniformized
+    assert c > 0.0
+    step = 1.0 / (4.5 * lam)
+    v = philox(5, 0).random(gen.n)
+    law = _law_grid(gen, v, step, 10, transpose)
+    assert law.shape == (11, gen.n)
+    assert np.array_equal(law[10], v)
+    for i in range(11):
+        want = expm_apply(gen, v, i * step, transpose=transpose)
+        assert np.max(np.abs(law[10 - i] - want)) <= 1e-13, i
 
 
 def test_table_byte_budget_refuses_before_allocating(monkeypatch):
@@ -579,3 +590,16 @@ def test_interface_errors():
     with pytest.raises(ParamError, match="too few accepted forward"):
         conditioned_functional_check(mk(2, B=0.0), {0: 1}, {(0, 0): 1.0},
                                      1.0, lambda lines: 1.0, 50, 10, seed=8)
+
+
+@pytest.mark.parametrize("t_end", [math.nan, math.inf, -1.0])
+@pytest.mark.parametrize("homogeneous", [True, False])
+def test_sampler_refuses_bad_horizons(t_end, homogeneous):
+    # a NaN or infinite horizon would never be reached, and a negative
+    # one would give a path that ends before it starts
+    p = mk(2, b=((0.7, 0.3), (0.4, 0.6)))
+    pair = canonical_start(p, {0: 0, 1: 1})
+    kernel = (make_homogeneous_kernel(p, pair) if homogeneous
+              else make_inhomogeneous_kernel(p, (0.5, 0.5), 1.0))
+    with pytest.raises(ParamError, match="nonnegative horizon"):
+        sample_transformed_path(kernel, pair, philox(38, 0), t_end=t_end)
