@@ -37,7 +37,6 @@ __all__ = [
     "enumerate_transitions",
     "feynman_kac_V",
     "simulate_bp",
-    "path_V_integral",
     "reverse_to_lines",
     "TRANSITION_KINDS",
 ]
@@ -330,12 +329,11 @@ def feynman_kac_V(s: BpState, p: ModelParams) -> float:
 @dataclass(frozen=True)
 class BpPath:
     """A simulated trajectory: initial state, (time, transition) events in
-    increasing time order, horizon, and the parameters that generated it."""
+    increasing time order, and horizon."""
 
     initial: BpState
     events: tuple
     horizon: float
-    params: ModelParams
 
     def segments(self):
         """Yield (state, start, end) pieces of the piecewise-constant path."""
@@ -356,7 +354,7 @@ class BpPath:
         return state
 
 
-def _jump_path(start: BpState, p: ModelParams, T: float, rng, cache: dict,
+def _jump_path(start: BpState, T: float, rng, cache: dict,
                transitions_of) -> BpPath:
     """Event-by-event path on [0, T] of a time-homogeneous jump chain whose
     positive-rate transitions out of a state are transitions_of(state).
@@ -393,7 +391,7 @@ def _jump_path(start: BpState, p: ModelParams, T: float, rng, cache: dict,
         row = succ[i]
         if row is None:
             row = succ[i] = compile_row(trans[i].target)
-    return BpPath(initial=start, events=tuple(events), horizon=T, params=p)
+    return BpPath(initial=start, events=tuple(events), horizon=T)
 
 
 def simulate_bp(start: BpState, p: ModelParams, T: float, rng,
@@ -409,21 +407,8 @@ def simulate_bp(start: BpState, p: ModelParams, T: float, rng,
     if not 0.0 <= T < math.inf:
         raise ParamError("finite nonnegative horizon required")
     cache = transition_cache if transition_cache is not None else {}
-    return _jump_path(start, p, T, rng, cache,
+    return _jump_path(start, T, rng, cache,
                       lambda s: enumerate_transitions(s, p))
-
-
-def path_V_integral(path: BpPath, t: float) -> float:
-    """Integral of the exponential-weight function along the path up to t,
-    computed exactly from the piecewise-constant segments."""
-    if not (0.0 <= t <= path.horizon):
-        raise ParamError("time outside path horizon")
-    total = 0.0
-    for state, start, end in path.segments():
-        if start >= t:
-            break
-        total += feynman_kac_V(state, path.params) * (min(end, t) - start)
-    return total
 
 
 @dataclass(frozen=True)

@@ -48,9 +48,6 @@ from .reduced import (CatChainSpec, DistChainSpec, Y_STATES, cat_equilibrium,
 __all__ = ["ExperimentConfig", "RunManifest", "load_config", "run_experiment",
            "emit_plotdata", "main"]
 
-EXPERIMENTS = ("duality-sweep", "forward-distance", "conditioned-distance",
-               "cat-equilibrium", "survival-table", "taylor-report",
-               "cross-check")
 REPLICATE_CAP = 1_000_000  # most replicates one run may ask for
 CONFIG_KEYS = ("experiment", "model", "horizon", "times", "replicates", "seed",
                "out", "workers", "tagged", "nu", "ns", "order")
@@ -277,10 +274,11 @@ def _write_survival(out: str, name: str, series: str, times, survives):
 
 def _fan_out(chunk_fn, args: tuple, blocks: int, workers: int) -> np.ndarray:
     """chunk_fn(*args, block_indices) over blocks 0..blocks-1, split into
-    contiguous runs across at most `workers` processes.  A block of
+    contiguous runs across at most `workers` processes, and at most one
+    per CPU: the pool starts all its processes at once.  A block of
     replicates seeds its own stream, and the runs come back in block
     order, so the worker count never changes the result."""
-    workers = min(workers, blocks)
+    workers = min(workers, blocks, os.cpu_count() or 1)
     if workers <= 1:
         return np.array(chunk_fn(*args, range(blocks)), dtype=float)
     bounds = [blocks * k // workers for k in range(workers + 1)]
@@ -418,6 +416,7 @@ _RUNNERS = {
     "taylor-report": _exp_taylor,
     "cross-check": _exp_cross_check,
 }
+EXPERIMENTS = tuple(_RUNNERS)
 
 
 def run_experiment(cfg: ExperimentConfig) -> RunManifest:

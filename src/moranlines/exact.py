@@ -94,11 +94,6 @@ class GeneratorMatrix:
             return c, lam, None
         return c, lam, (A / lam + sparse.identity(self.n, format="csr")).tocsr()
 
-    @functools.cached_property
-    def _jump_transposed(self) -> sparse.csr_matrix:
-        """P^T of the uniformized chain, for the transposed semigroup."""
-        return self._uniformized[2].T.tocsr()
-
 
 def _generator(starts, moves, weight=None) -> GeneratorMatrix:
     """Generator on the states reachable from starts.
@@ -228,6 +223,8 @@ def expm_apply(gen: GeneratorMatrix, v, t: float,
     v = np.asarray(v, dtype=float)
     if v.shape != (gen.n,):
         raise ParamError("vector length must match state count")
+    if not np.all(np.isfinite(v)):
+        raise ParamError("finite vector required")
     if t == 0.0:
         return v.copy()
     return _law_grid(gen, v, t, 1, transpose)[0]
@@ -252,7 +249,8 @@ def _law_grid(gen: GeneratorMatrix, v: np.ndarray, step: float, n: int,
     if P is None:
         return np.exp(c * (step * np.arange(n, -1, -1)))[:, None] * v
     if transpose:
-        P = gen._jump_transposed
+        # a CSC view of P: no copy, and each entry sums in the same order
+        P = P.T
     # min before int: a subnormal step makes 1 / (lam * step) infinite
     r = max(1, int(min(n, 1.0 / (lam * step))))
     K = _truncation(v, lam * (step * r), np.exp(c * (step * r)))

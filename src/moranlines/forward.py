@@ -92,6 +92,8 @@ def init_forest(p: ModelParams, time_origin: float, types) -> LineageForest:
     started at clock value time_origin."""
     validate_params(p)
     time_origin = float(time_origin)
+    if not math.isfinite(time_origin):
+        raise ParamError("finite time origin required")
     types = [int(u) for u in types]
     if len(types) != p.N:
         raise ParamError("one initial type per site required")
@@ -233,8 +235,9 @@ def cat_fixation_type(p: ModelParams, c: float, types, t: float, rng):
     """
     forest = init_forest(p, c, types)
     c, t = forest.time_origin, float(t)
-    if t < c:
-        raise ParamError("evaluation time before start time")
+    # NaN fails every comparison, so this also refuses it
+    if not c <= t < math.inf:
+        raise ParamError("evaluation time before start time or not finite")
     horizon_cap = FIXATION_HORIZON_PER_SITE * p.N
     total = p.N * p.B + p.N * p.N / 2.0
     # anc[i]: which time-t site the line now at i descends from; tracked

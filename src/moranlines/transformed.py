@@ -253,8 +253,7 @@ def sample_transformed_path(kernel: HTransformedKernel, start: BpState, rng,
     if not 0.0 <= t_end < math.inf:
         raise ParamError("finite nonnegative horizon required")
     if kernel.ht is None:
-        return _jump_path(start, kernel.p, t_end, rng,
-                          cache if cache is not None else {},
+        return _jump_path(start, t_end, rng, {} if cache is None else cache,
                           lambda s: transformed_rates(kernel, s))
 
     ht = kernel.ht
@@ -304,8 +303,7 @@ def sample_transformed_path(kernel: HTransformedKernel, start: BpState, rng,
         events.append((t, BpTransition(
             target=ht.states[sid], rate=ht.t_rate.item(j),
             kind=TRANSITION_KINDS[ht.t_kind.item(j)])))
-    return BpPath(initial=start, events=tuple(events), horizon=t_end,
-                  params=kernel.p)
+    return BpPath(initial=start, events=tuple(events), horizon=t_end)
 
 
 def _coalescence_block(ht: HTTable, start: int, n: int, rng) -> np.ndarray:

@@ -15,8 +15,8 @@ import numpy as np
 
 from helpers import mk, philox, rand_chi, rand_rows
 from moranlines.backward import canonical_start, make_state
-from moranlines.exact import (build_bp_generator, compute_h, duality_reports,
-                              harmonic_residual)
+from moranlines.exact import (build_bp_generator, build_type_generator,
+                              compute_h, duality_reports, harmonic_residual)
 from moranlines.forward import neutral_pair_distance_samples
 from moranlines.model import moment_recurrence_residuals, wf_single_moment
 from moranlines.reduced import (CatChainSpec, DistChainSpec, cat_chain_vs_bp,
@@ -24,8 +24,10 @@ from moranlines.reduced import (CatChainSpec, DistChainSpec, cat_chain_vs_bp,
                                 dist_survival, dist_taylor_coeffs,
                                 lemma_ode_residual)
 from moranlines.transformed import (first_coalescence_time,
+                                    make_homogeneous_kernel,
                                     make_inhomogeneous_kernel,
-                                    sample_conditioned_lines)
+                                    sample_conditioned_lines,
+                                    transformed_rates)
 
 PI = ((0.3, 0.7), (0.3, 0.7))  # parent-independent two-type kernel
 HALF = ((0.5, 0.5), (0.5, 0.5))
@@ -255,3 +257,31 @@ def test_criterion_11_distances_smaller_under_selection():
     assert not failures, failures
     _pass(11, f"max excess finite {worst['finite']:.2e}, "
               f"limit {worst['limit']:.2e}", t0, 30.0)
+
+
+def test_criterion_12_conditioned_rates_converge_at_the_spectral_gap():
+    # the paper's limit theorem on a finite chain: the rates tilted by the
+    # horizon-T type law approach the rates tilted by the stationary h as
+    # T grows, at the type chain's spectral-gap rate, from a start law far
+    # from stationarity and with a mutation kernel that is not parent
+    # independent
+    t0 = time.monotonic()
+    p = mk(3, d=3, B=0.7, b=((0.2, 0.5, 0.3), (0.6, 0.1, 0.3),
+                             (0.25, 0.25, 0.5)), S=2.0, chi=(0.0, 0.4, 1.0))
+    mu = {(0, 0, 0): 1.0}
+    eig = np.linalg.eigvals(build_type_generator(p).Q.toarray())
+    assert eig.size == 27
+    gap = float(np.sort(-eig.real)[1])
+    worst = 0.0
+    for xi in ({0: 0, 1: 2}, {0: 0, 1: 0}, {0: 1}):
+        start = canonical_start(p, xi)
+        limit = transformed_rates(make_homogeneous_kernel(p, start), start)
+        for T in (2.0, 4.0, 8.0, 12.0):
+            tilted = transformed_rates(make_inhomogeneous_kernel(p, mu, T),
+                                       start, t=0.0)
+            assert [(tr.target, tr.kind) for tr in tilted] == \
+                [(tr.target, tr.kind) for tr in limit]
+            err = max(abs(a.rate - b.rate) for a, b in zip(tilted, limit))
+            worst = max(worst, err * math.exp(gap * T))
+    assert worst <= 3.0
+    _pass(12, f"gap {gap:.4f}, max error x e^(gap T) {worst:.2f}", t0, 30.0)

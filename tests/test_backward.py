@@ -8,7 +8,7 @@ import pytest
 
 from moranlines import (BpPath, ParamError, canonical_start,
                         enumerate_transitions, feynman_kac_V, make_state,
-                        path_V_integral, reverse_to_lines, simulate_bp)
+                        reverse_to_lines, simulate_bp)
 from moranlines.backward import TRANSITION_KINDS, reverse_step_path
 
 from helpers import mk, philox, rand_chi, rand_rows, three_se
@@ -251,25 +251,6 @@ def test_coalescence_probability_neutral_pair():
     assert abs(mean - (1 - math.exp(-T))) <= tol
 
 
-def test_path_V_integral_exact_and_riemann():
-    p = mk(3, S=1.0, b=((0.7, 0.3), (0.2, 0.8)))
-    s = canonical_start(p, {0: 1})
-    const = BpPath(initial=s, events=(), horizon=2.0, params=p)
-    assert path_V_integral(const, 0.0) == 0.0
-    assert path_V_integral(const, 1.3) == pytest.approx(1.3 * feynman_kac_V(s, p),
-                                                        abs=1e-14)
-    tr = enumerate_transitions(s, p)[0]
-    two = BpPath(initial=s, events=((0.7, tr),), horizon=2.0, params=p)
-    exact = 0.7 * feynman_kac_V(s, p) + 0.5 * feynman_kac_V(tr.target, p)
-    assert path_V_integral(two, 1.2) == pytest.approx(exact, abs=1e-14)
-    step = 1e-4
-    grid = np.arange(0.0, 1.2, step) + step / 2
-    riemann = sum(feynman_kac_V(two.state_at(float(t)), p) * step for t in grid)
-    assert abs(path_V_integral(two, 1.2) - riemann) <= 1e-3
-    with pytest.raises(ParamError, match="time outside path horizon"):
-        path_V_integral(two, 2.5)
-
-
 def test_reverse_step_path_semantics():
     # single jump at s flips to a jump at horizon - s with the left limit
     times, values = reverse_step_path((0.0, 0.6), ("A", "B"), 1.0)
@@ -296,7 +277,7 @@ def test_reverse_step_path_semantics():
 def test_reverse_to_lines_windows_and_values():
     p = mk(2, B=0.0)
     s = canonical_start(p, {0: 0, 1: 1})
-    path = BpPath(initial=s, events=(), horizon=1.5, params=p)
+    path = BpPath(initial=s, events=(), horizon=1.5)
     lines = reverse_to_lines(path)
     assert set(lines) == {0, 1}
     for j in (0, 1):
@@ -309,7 +290,7 @@ def test_reverse_to_lines_windows_and_values():
     q = mk(2, S=0.0)
     s1 = canonical_start(q, {1: 0})
     hop = [tr for tr in enumerate_transitions(s1, q) if tr.kind == "2bi"][0]
-    path1 = BpPath(initial=s1, events=((0.6, hop),), horizon=1.0, params=q)
+    path1 = BpPath(initial=s1, events=((0.6, hop),), horizon=1.0)
     line = reverse_to_lines(path1)[1]
     assert line.value_at(0.0) == (0, 1)
     assert line.value_at(-0.59) == (0, 1)

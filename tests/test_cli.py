@@ -119,10 +119,11 @@ CONDITIONED_CFG = {
 }
 
 
-# three blocks of the agreement-time sampler at N = 3, so three workers
-# split them (the block count is checked in test_forward)
+# three blocks of the agreement-time sampler at N = 3, so --workers 3
+# splits them over three processes, or one per CPU on a smaller host
+# (the block count is checked in test_forward)
 BLOCKS_CFG = {**FORWARD_CFG, "replicates": 2 * BLOCK_REPS + 1}
-# three blocks of the conditioned sampler, one per worker at --workers 3
+# three blocks of the conditioned sampler, split the same way
 CONDITIONED_BLOCKS_CFG = {**CONDITIONED_CFG, "replicates": 2 * BLOCK_REPS + 1}
 # at S = 0 the neutral tracer draws one stream keyed seed in one process,
 # whatever the worker count
@@ -154,6 +155,35 @@ def test_worker_count_never_changes_results(tmp_path, experiment, payload,
         assert (out1 / name).read_bytes() == (out3 / name).read_bytes()
     assert read_manifest(out1)["config_hash"] == \
         read_manifest(out3)["config_hash"]
+
+
+def test_fan_out_starts_at_most_one_process_per_cpu(monkeypatch):
+    # the pool forks all max_workers processes at once, so the request is
+    # clamped to the CPU count; a recorder stands in for the pool
+    seen = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            seen.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, runs):
+            return [fn(run) for run in runs]
+
+    def chunk(scale, blocks):
+        return [scale * k for k in blocks]
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    many = cli._fan_out(chunk, (0.5,), 977, 1000)
+    assert seen == [2]
+    assert many.tobytes() == cli._fan_out(chunk, (0.5,), 977, 1).tobytes()
+    assert seen == [2]
 
 
 def test_seed_override_changes_hash_and_samples(tmp_path):

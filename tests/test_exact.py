@@ -252,6 +252,13 @@ def test_expm_errors():
             expm_apply(gen, np.ones(gen.n), t)
     with pytest.raises(ParamError, match="vector length"):
         expm_apply(gen, np.ones(gen.n + 1), 0.5)
+    # a NaN would spread silently, an inf would warn and give NaN
+    for bad in (math.nan, math.inf, -math.inf):
+        v = np.ones(gen.n)
+        v[1] = bad
+        for t in (0.0, 0.5):
+            with pytest.raises(ParamError, match="finite vector required"):
+                expm_apply(gen, v, t)
 
 
 # ------------------------------------------------------------------- duality

@@ -33,6 +33,27 @@ def test_init_forest_errors():
         init_forest(p, 0.0, (0, 2))
 
 
+@pytest.mark.parametrize("start,t_eval,match", [
+    (math.nan, None, "finite time origin"),
+    (math.inf, None, "finite time origin"),
+    (-math.inf, None, "finite time origin"),
+    (math.nan, 1.0, "finite time origin"),
+    (-math.inf, 1.0, "finite time origin"),
+    (0.0, math.nan, "evaluation time before start"),
+    (0.0, math.inf, "evaluation time before start"),
+])
+def test_non_finite_start_or_evaluation_time_is_refused(start, t_eval, match):
+    # neither clock test of the fixation loop is ever true at a NaN time,
+    # so a NaN start ran forever; an infinite evaluation time ran the
+    # whole fixation horizon to return "pending"
+    p = mk(3)
+    with pytest.raises(ParamError, match=match):
+        if t_eval is None:
+            init_forest(p, start, (0, 1, 1))
+        else:
+            cat_fixation_type(p, start, (0, 1, 1), t_eval, philox(6, 1))
+
+
 def test_initial_types_outside_type_space_are_refused():
     p = mk(3)
     rng = philox(6, 0)

@@ -1,7 +1,7 @@
 """The package exports exactly what its modules declare public, and
 loads only the scipy submodules that every run needs; the README's
-numerical notes name every numeric module constant, and its config
-table every config key."""
+Python examples run, its numerical notes name every numeric module
+constant, and its config table every config key."""
 import ast
 import importlib
 import os
@@ -46,13 +46,29 @@ def test_import_leaves_slow_scipy_submodules_unloaded(statement):
     code = (f"import sys; {statement}; "
             "print(sorted(m for m in ('scipy.stats', 'scipy.integrate') "
             "if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env=_child_env())
+    assert out.stdout.strip() == "[]"
+
+
+def _child_env() -> dict:
     # the child finds the package where this process found it
     src = str(pathlib.Path(moranlines.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, (src, os.environ.get("PYTHONPATH"))))}
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, check=True, env=env)
-    assert out.stdout.strip() == "[]"
+
+
+def test_readme_python_examples_run():
+    # every fenced python block of the README, joined in order, runs in a
+    # fresh process with warnings as errors
+    readme = (pathlib.Path(moranlines.__file__).resolve().parents[2]
+              / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```python\n(.*?)^```$", readme, re.M | re.S)
+    assert len(blocks) >= 2
+    out = subprocess.run([sys.executable, "-W", "error", "-c",
+                          "\n".join(blocks)], capture_output=True, text=True,
+                         env=_child_env())
+    assert out.returncode == 0, out.stderr
 
 
 def _numeric_constants(tree) -> set:
