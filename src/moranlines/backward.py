@@ -16,6 +16,11 @@ Occupied sites formally keep a stored subset, but no rate, no weight and
 no functional ever reads it, and it is overwritten whenever the site is
 vacated; states here normalize occupied sites' subsets to the full type
 space so that equal behaviour means equal hash.
+
+`enumerate_transitions` lists moves as (kind, rate, marks, active)
+records in that normal form.  The engines number states by the key
+(j_sites, marks, active) and build each `BpState` once, and a full target
+state only where a path records its events.
 """
 from __future__ import annotations
 
@@ -84,6 +89,11 @@ class BpState:
     def N(self) -> int:
         return len(self.active)
 
+    @property
+    def key(self) -> tuple:
+        """(j_sites, marks, active): what the engines number states by."""
+        return self.j_sites, self.marks, self.active
+
 
 def _full(d: int) -> tuple:
     return tuple(range(d))
@@ -141,7 +151,7 @@ def _replace_marks(s: BpState, positions, new_value):
     return tuple(marks)
 
 
-def _with(s: BpState, marks=None, active_updates=None) -> BpState:
+def _with(s: BpState, marks=None, active_updates=None) -> tuple:
     active = list(s.active)
     if active_updates:
         for i, sub in active_updates.items():
@@ -154,7 +164,7 @@ def _with(s: BpState, marks=None, active_updates=None) -> BpState:
         full = _full(s.d)
         for (_u, i) in marks:
             active[i] = full
-    return BpState(j_sites=s.j_sites, marks=marks, active=tuple(active), d=s.d)
+    return marks, tuple(active)
 
 
 @dataclass(frozen=True)
@@ -165,7 +175,9 @@ class BpTransition:
 
 
 def enumerate_transitions(s: BpState, p: ModelParams) -> list:
-    """Complete list of positive-rate transitions out of s (no self-loops).
+    """Complete list of positive-rate transitions out of s (no self-loops),
+    as (kind, rate, marks, active) records; the target is the state with
+    s's tagged positions and these normalized marks and subsets.
 
     Clause guards are applied exactly as stated: subset-shrink needs
     |subset| > 1, pairwise intersection clauses need the intersection to
@@ -174,11 +186,12 @@ def enumerate_transitions(s: BpState, p: ModelParams) -> list:
     d, N, b, chi = p.d, p.N, p.b, p.chi
     sel = p.S / (2.0 * N)
     full = _full(d)
+    here = (s.marks, s.active)
     out = []
 
     def emit(kind, rate, target):
-        if rate > 0.0 and target != s:
-            out.append(BpTransition(target=target, rate=rate, kind=kind))
+        if rate > 0.0 and target != here:
+            out.append((kind, rate) + target)
 
     blocks = s.blocks
     act = s.act_sites
@@ -335,24 +348,6 @@ class BpPath:
     events: tuple
     horizon: float
 
-    def segments(self):
-        """Yield (state, start, end) pieces of the piecewise-constant path."""
-        state, start = self.initial, 0.0
-        for (t, tr) in self.events:
-            yield state, start, t
-            state, start = tr.target, t
-        yield state, start, self.horizon
-
-    def state_at(self, t: float) -> BpState:
-        if not (0.0 <= t <= self.horizon):
-            raise ParamError("time outside path horizon")
-        state = self.initial
-        for (et, tr) in self.events:
-            if et > t:
-                break
-            state = tr.target
-        return state
-
 
 def _jump_path(start: BpState, T: float, rng, cache: dict,
                transitions_of) -> BpPath:
@@ -407,8 +402,14 @@ def simulate_bp(start: BpState, p: ModelParams, T: float, rng,
     if not 0.0 <= T < math.inf:
         raise ParamError("finite nonnegative horizon required")
     cache = transition_cache if transition_cache is not None else {}
-    return _jump_path(start, T, rng, cache,
-                      lambda s: enumerate_transitions(s, p))
+    return _jump_path(start, T, rng, cache, lambda s: _transitions(s, p))
+
+
+def _transitions(s: BpState, p: ModelParams) -> list:
+    """enumerate_transitions(s, p) as BpTransitions to full target states."""
+    return [BpTransition(target=BpState(s.j_sites, marks, active, s.d),
+                         rate=rate, kind=kind)
+            for kind, rate, marks, active in enumerate_transitions(s, p)]
 
 
 @dataclass(frozen=True)

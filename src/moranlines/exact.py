@@ -95,23 +95,25 @@ class GeneratorMatrix:
         return c, lam, (A / lam + sparse.identity(self.n, format="csr")).tocsr()
 
 
-def _generator(starts, moves, weight=None) -> GeneratorMatrix:
+def _generator(starts, moves, weight=None, make=None) -> GeneratorMatrix:
     """Generator on the states reachable from starts.
 
-    States are numbered breadth-first, the starts first in their order;
-    moves(s) lists (target, rate) pairs, and rates into one target add
-    up.  weight(s), when given, fills the Feynman-Kac diagonal.  Refused
-    once a state past STATE_CAP is reached.
+    States are numbered by key breadth-first, the start keys first in
+    their order; moves(s) lists (target key, rate) pairs, and rates into
+    one key add up.  make(key) builds the state of a key numbered for the
+    first time (without make, the key is the state), so a key reached
+    again costs one lookup.  weight(s), when given, fills the Feynman-Kac
+    diagonal.  Refused once a state past STATE_CAP is reached.
     """
     index, states = {}, []
 
-    def number(s):
-        k = index.get(s)
+    def number(key):
+        k = index.get(key)
         if k is None:
             if len(states) >= STATE_CAP:
                 raise BudgetError("exact solve infeasible")
-            k = index[s] = len(states)
-            states.append(s)
+            k = index[key] = len(states)
+            states.append(key if make is None else make(key))
         return k
 
     for s in starts:
@@ -175,16 +177,20 @@ def build_type_generator(p: ModelParams) -> GeneratorMatrix:
 
 def build_bp_generator(p: ModelParams, starts) -> GeneratorMatrix:
     """Weighted generator of the backward chain on the set reachable from
-    starts: the rates, plus V as the diagonal weight."""
+    starts: the rates, plus V as the diagonal weight.  States are numbered
+    by `BpState.key`, and one state is built per key."""
     validate_params(p)
     if isinstance(starts, BpState):
         starts = [starts]
     # both functions are looked up when called, so a rebound module
     # attribute takes effect
     return _generator(
-        starts,
-        lambda s: [(tr.target, tr.rate) for tr in enumerate_transitions(s, p)],
-        lambda s: feynman_kac_V(s, p))
+        [s.key for s in starts],
+        lambda s: [((s.j_sites, marks, active), rate)
+                   for _kind, rate, marks, active
+                   in enumerate_transitions(s, p)],
+        lambda s: feynman_kac_V(s, p),
+        lambda key: BpState(*key, p.d))
 
 
 def _truncation(v: np.ndarray, mu: float, scale: float) -> int:

@@ -31,7 +31,7 @@ import numpy as np
 from .model import (DENSE_SOLVE_BYTES, BudgetError, ModelParams, ParamError,
                     validate_params)
 from .backward import (TRANSITION_KINDS, BpPath, BpState, BpTransition,
-                       LinePath, _jump_path, canonical_start,
+                       LinePath, _jump_path, _transitions, canonical_start,
                        enumerate_transitions, reverse_to_lines)
 from .exact import (GeneratorMatrix, _law_grid, _project, _type_configs,
                     build_bp_generator, build_type_generator, compute_h,
@@ -78,12 +78,13 @@ class HTTable:
     up front with what DENSE_SOLVE_BYTES leaves beside the grid law; its
     pages are committed only as rows are written, and a row never moves.
     A state's id is its row, its series at every grid time; these fill
-    from the front.  Once `build` has reached a state, tab[sid] is its
-    table id i: row top - 2i holds its `num` series (sum of rate * target
-    series) and row top - 2i - 1 the suffix maximum of the knot ratios
-    num / den, filling from the back, and ptr[i]:ptr[i + 1] is its
-    segment of the flat arrays t_sid, t_rate, t_kind (an index into
-    TRANSITION_KINDS) and t_merge (whether the target has fewer blocks).
+    from the front, and `ids` maps each `BpState.key` to its id.  Once
+    `build` has reached a state, tab[sid] is its table id i: row
+    top - 2i holds its `num` series (sum of rate * target series) and row
+    top - 2i - 1 the suffix maximum of the knot ratios num / den, filling
+    from the back, and ptr[i]:ptr[i + 1] is its segment of the flat
+    arrays t_sid, t_rate, t_kind (an index into TRANSITION_KINDS) and
+    t_merge (whether the target has fewer blocks).
     A state or table that would not fit is refused with a BudgetError
     before it is stored.
     """
@@ -125,21 +126,22 @@ class HTTable:
         if states + 2 * tables > len(self.rows):
             raise BudgetError("horizon table above the dense budget")
 
-    def sids(self, states) -> np.ndarray:
-        """State ids of `states`, registering the unseen ones.  Each new
-        series is its own matrix-vector product: a batched product rounds
-        a series differently with the batch's width, so the draws would
-        depend on the order in which states were first reached."""
+    def sids(self, keys) -> np.ndarray:
+        """State ids of the states with these keys, registering (and
+        building) the unseen ones.  Each new series is its own product: a
+        batched product rounds a series differently with the batch's width,
+        so the draws would depend on the order states were first reached."""
         out, fresh = [], {}
-        for s in states:
-            k = self.ids.get(s)
+        for key in keys:
+            k = self.ids.get(key)
             if k is None:
-                k = fresh.setdefault(s, len(self.states) + len(fresh))
+                k = fresh.setdefault(key, len(self.states) + len(fresh))
             out.append(k)
         self._fit(len(self.states) + len(fresh), len(self.ptr) - 1)
-        for s, k in fresh.items():
+        for key, k in fresh.items():
+            s = BpState(*key, self.p.d)
             self.rows[k] = _project(self.rho, s, self.configs_arr, self.p.d)
-            self.ids[s] = k
+            self.ids[key] = k
             self.states.append(s)
         self.tab = np.concatenate(
             (self.tab, np.full(len(fresh), -1, dtype=np.int64)))
@@ -153,16 +155,17 @@ class HTTable:
             return
         sources = [self.states[k] for k in new]
         trans = [enumerate_transitions(s, self.p) for s in sources]
-        flat = [(tr, len(s.blocks)) for s, ts in zip(sources, trans)
-                for tr in ts]
-        t_sid = self.sids([tr.target for tr, _ in flat])
+        flat = [(kind, rate, (s.j_sites, marks, active),
+                 len(set(marks)) < len(s.blocks))
+                for s, recs in zip(sources, trans)
+                for kind, rate, marks, active in recs]
+        t_sid = self.sids([key for _kind, _rate, key, _merge in flat])
         tabs = np.arange(len(self.ptr) - 1, len(self.ptr) - 1 + new.size)
         self._fit(len(self.states), tabs[-1] + 1)
-        t_rate = np.array([tr.rate for tr, _ in flat])
-        t_kind = np.array([TRANSITION_KINDS.index(tr.kind) for tr, _ in flat],
+        t_rate = np.array([rate for _kind, rate, _key, _merge in flat])
+        t_kind = np.array([TRANSITION_KINDS.index(kind) for kind, *_ in flat],
                           dtype=np.int8)
-        t_merge = np.array([len(set(tr.target.marks)) < n for tr, n in flat],
-                           dtype=bool)
+        t_merge = np.array([merge for *_, merge in flat], dtype=bool)
         sizes = np.array([len(ts) for ts in trans], dtype=np.int64)
         ends = np.cumsum(sizes)
         at = self.top - 2 * tabs
@@ -183,7 +186,7 @@ class HTTable:
     def value(self, t: float, state: BpState) -> float:
         if not (0.0 <= t <= self.T):
             raise ParamError("time outside horizon")
-        ser = self.rows[self.sids((state,)).item(0)]
+        ser = self.rows[self.sids((state.key,)).item(0)]
         k = min(int(t / self.step), len(self.grid) - 2)
         theta = (t - self.grid[k]) / self.step
         return float((1.0 - theta) * ser[k] + theta * ser[k + 1])
@@ -229,7 +232,7 @@ def transformed_rates(kernel: HTransformedKernel, state: BpState,
     if denom <= 0.0:
         raise ParamError("h positivity violated")
     out = []
-    for tr in enumerate_transitions(state, kernel.p):
+    for tr in _transitions(state, kernel.p):
         num = kernel.h_value(tr.target, t)
         if num < 0.0:
             raise ParamError("h positivity violated")
@@ -261,9 +264,9 @@ def sample_transformed_path(kernel: HTransformedKernel, start: BpState, rng,
         raise ParamError("horizon beyond table range")
     rows = ht.rows
     last = len(ht.grid) - 2
-    sid = ht.ids.get(start)
+    sid = ht.ids.get(start.key)
     if sid is None:
-        sid = ht.sids((start,)).item(0)
+        sid = ht.sids((start.key,)).item(0)
     t, events = 0.0, []
     while True:
         i = ht.tab.item(sid)
@@ -383,7 +386,7 @@ def conditioned_coalescence_times(p: ModelParams, T: float, reps: int,
     """
     blocks = _check_blocks(reps, BLOCK_REPS, blocks)
     ht = make_inhomogeneous_kernel(p, nu, T).ht
-    start = ht.sids((canonical_start(p, tagged),)).item(0)
+    start = ht.sids((canonical_start(p, tagged).key,)).item(0)
     parts = []
     for k in blocks:
         rng = np.random.Generator(np.random.Philox(key=(seed, k)))

@@ -9,7 +9,8 @@ import pytest
 from moranlines import (BpPath, ParamError, canonical_start,
                         enumerate_transitions, feynman_kac_V, make_state,
                         reverse_to_lines, simulate_bp)
-from moranlines.backward import TRANSITION_KINDS, reverse_step_path
+from moranlines.backward import (TRANSITION_KINDS, _transitions,
+                                 reverse_step_path)
 
 from helpers import mk, philox, rand_chi, rand_rows, three_se
 
@@ -55,7 +56,7 @@ def test_neutral_singleton_enumeration():
     # one block, S=0: mark mutation plus a rate-1/2 hop to each active site
     p = mk(3, S=0.0)
     s = canonical_start(p, {1: 0})
-    trans = enumerate_transitions(s, p)
+    trans = _transitions(s, p)
     assert sorted(tr.kind for tr in trans) == ["1a", "2bi", "2bi"]
     for tr in trans:
         if tr.kind == "1a":
@@ -70,7 +71,7 @@ def test_neutral_singleton_enumeration():
 def test_selection_merge_pins_vacated_site():
     p = mk(3, S=1.0)
     s = make_state((0, 1), ((0, 0), (0, 1)), [FULL2] * 3, 2)
-    trans = enumerate_transitions(s, p)
+    trans = _transitions(s, p)
     sel = 1.0 / 6.0
     merges = [tr for tr in trans if tr.kind == "2ai"]
     pins = [tr for tr in trans if tr.kind == "2aii"]
@@ -91,7 +92,7 @@ def test_hand_enumeration_two_blocks_three_types():
     p = mk(3, d=3, B=B, S=S, b=b, chi=chi)
     sel = S / 6.0
     s = make_state((0, 1), ((0, 0), (1, 1)), [FULL3] * 3, 3)
-    trans = enumerate_transitions(s, p)
+    trans = _transitions(s, p)
 
     expected = {
         # 1a: mark of block (0,0) produced-by u2, then block (1,1)
@@ -160,11 +161,9 @@ def test_simulate_bp_zero_horizon_and_errors():
     s = canonical_start(p, {0: 0})
     path = simulate_bp(s, p, 0.0, philox(21, 0))
     assert path.events == () and path.horizon == 0.0
-    assert path.state_at(0.0) == s
+    assert path.initial == s
     with pytest.raises(ParamError, match="nonnegative horizon"):
         simulate_bp(s, p, -1.0, philox(21, 0))
-    with pytest.raises(ParamError, match="time outside path horizon"):
-        path.state_at(0.5)
 
 
 @pytest.mark.parametrize("T", [math.nan, math.inf, -1.0])
@@ -192,7 +191,7 @@ def _scan_path(start, p, T, rng):
     event by a linear scan of the running sum."""
     t, state, events = 0.0, start, []
     while True:
-        trans = enumerate_transitions(state, p)
+        trans = _transitions(state, p)
         total = sum(tr.rate for tr in trans)
         if total <= 0.0:
             break
@@ -231,7 +230,7 @@ def test_neutral_run_keeps_subsets_full():
     s = canonical_start(p, {0: 0, 2: 1})
     for _ in range(50):
         path = simulate_bp(s, p, 2.0, rng)
-        for state, _a, _b in path.segments():
+        for state in (path.initial, *(tr.target for _t, tr in path.events)):
             for i in state.act_sites:
                 assert state.active[i] == FULL2
 
@@ -246,7 +245,9 @@ def test_coalescence_probability_neutral_pair():
     merged = np.empty(100_000)
     for r in range(merged.size):
         path = simulate_bp(start, p, T, rng, transition_cache=cache)
-        merged[r] = 1.0 if len(path.state_at(T).blocks) == 1 else 0.0
+        # every event falls before T, so the last one gives the state at T
+        final = path.events[-1][1].target if path.events else path.initial
+        merged[r] = 1.0 if len(final.blocks) == 1 else 0.0
     mean, tol = three_se(merged)
     assert abs(mean - (1 - math.exp(-T))) <= tol
 
@@ -289,7 +290,7 @@ def test_reverse_to_lines_windows_and_values():
     # one relocation of the single block at backward time 0.6
     q = mk(2, S=0.0)
     s1 = canonical_start(q, {1: 0})
-    hop = [tr for tr in enumerate_transitions(s1, q) if tr.kind == "2bi"][0]
+    hop = [tr for tr in _transitions(s1, q) if tr.kind == "2bi"][0]
     path1 = BpPath(initial=s1, events=((0.6, hop),), horizon=1.0)
     line = reverse_to_lines(path1)[1]
     assert line.value_at(0.0) == (0, 1)
@@ -352,7 +353,7 @@ def test_derived_views_match_eager_reference():
         d = int(rng.integers(2, 4))
         s = _random_state(rng, N, d)
         assert (s.blocks, s.act_sites) == _eager_views(s)
-        for tr in enumerate_transitions(s, mk(N, d=d, S=1.0)):
+        for tr in _transitions(s, mk(N, d=d, S=1.0)):
             assert (tr.target.blocks, tr.target.act_sites) == \
                 _eager_views(tr.target)
 
@@ -380,7 +381,7 @@ def _walk(p, starts, steps, rng, on_new_state=None, track_taken=None):
     for k in range(steps):
         trans = cache.get(state)
         if trans is None:
-            trans = enumerate_transitions(state, p)
+            trans = _transitions(state, p)
             cache[state] = trans
             for tr in trans:
                 if tr.target not in cache and on_new_state is not None:
@@ -434,6 +435,31 @@ def test_fuzz_invariants_and_kind_coverage_three_types():
         enumerated.update(tr.kind for tr in trans)
     assert enumerated == set(TRANSITION_KINDS)
     assert taken == set(TRANSITION_KINDS)
+
+
+def test_records_carry_normalized_target_keys():
+    # the engines number a target by its record's (marks, active), so each
+    # record must hold the target's normal form: make_state's fields, never
+    # the source's own key, and a positive rate
+    b = ((0.5, 0.3, 0.2), (0.1, 0.6, 0.3), (0.25, 0.25, 0.5))
+    cases = [
+        (mk(4, S=1.0, b=((0.7, 0.3), (0.2, 0.8))), 25,
+         [{0: 0, 2: 1}, {1: 1}]),
+        (mk(4, d=3, S=2.0, b=b, chi=(0.0, 0.35, 1.0)), 26,
+         [{0: 1, 1: 1}, {0: 0, 3: 2}]),
+    ]
+    for p, seed, tagged in cases:
+        rng = philox(seed, 1)
+        starts = [canonical_start(p, xi) for xi in tagged]
+        states = list(_walk(p, starts, 5_000, rng))
+        states += [_random_state(rng, p.N, p.d) for _ in range(200)]
+        for s in states:
+            for kind, rate, marks, active in enumerate_transitions(s, p):
+                want = make_state(s.j_sites, marks, active, p.d)
+                assert (want.j_sites, want.marks, want.active, want.d) == \
+                    (s.j_sites, marks, active, s.d)
+                assert (marks, active) != (s.marks, s.active)
+                assert kind in TRANSITION_KINDS and rate > 0.0
 
 
 def test_fuzz_neutral_rate_totals():

@@ -11,11 +11,13 @@ import ast
 import importlib
 import inspect
 import pathlib
+import sys
 
 import numpy as np
 import scipy.sparse as sparse
 
-from moranlines import exact, reduced
+from moranlines import backward, canonical_start, exact, reduced, transformed
+from moranlines.model import ModelParams, validate_params
 
 TRACER = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -82,3 +84,46 @@ def test_tracer_proxy_call_contract(monkeypatch):
     for name in ("nfev", "njev", "nlu"):
         assert getattr(sol, name) >= 0, name
     assert sol.nfev > 0
+
+
+def test_engines_call_the_traced_enumeration(monkeypatch):
+    # the tracer counts backward.enumerate_transitions by rebinding it in
+    # every module that holds it; an engine that reached the clauses by
+    # another name would read 0 calls there
+    real = backward.enumerate_transitions
+    calls = []
+
+    def counted(s, p):
+        calls.append(s)
+        return real(s, p)
+
+    rebound = set()
+    for name, mod in list(sys.modules.items()):
+        if name == "moranlines" or name.startswith("moranlines."):
+            for attr, value in list(vars(mod).items()):
+                if value is real:
+                    monkeypatch.setattr(mod, attr, counted)
+                    rebound.add(name)
+    assert {"moranlines.backward", "moranlines.exact",
+            "moranlines.transformed"} <= rebound
+
+    d = 3
+    p = validate_params(ModelParams(
+        N=3, d=d, B=1.0, b=tuple((1.0 / d,) * d for _ in range(d)), S=1.0,
+        chi=(0.0, 0.5, 1.0)))
+    starts = [canonical_start(p, {0: u, 1: v})
+              for u in range(d) for v in range(d)]
+    gen = exact.build_bp_generator(p, starts)
+    assert len(calls) == gen.n
+
+    ht = transformed.HTTable(p, np.full(d, 1.0 / d), 0.5)
+    sids = ht.sids([s.key for s in starts])
+    for _ in range(2):
+        tables = len(ht.ptr) - 1
+        calls.clear()
+        ht.build(sids)
+        assert len(calls) == len(ht.ptr) - 1 - tables
+        assert len(set(calls)) == len(calls)
+        # one step on: the targets of the tables just built
+        sids = ht.t_sid[ht.ptr[tables]:]
+    assert len(ht.ptr) - 1 > len(starts)

@@ -11,10 +11,11 @@ import scipy.linalg
 from moranlines import (BudgetError, ParamError, build_bp_generator,
                         build_type_generator, canonical_start, check_duality,
                         compute_h, compute_hT, config_law_vector,
-                        duality_reports, enumerate_transitions, expm_apply,
-                        feynman_kac_V, finite_stationary_law,
-                        harmonic_residual, make_state, sample_config)
+                        duality_reports, expm_apply, feynman_kac_V,
+                        finite_stationary_law, harmonic_residual, make_state,
+                        sample_config)
 import moranlines.exact as exact
+from moranlines.backward import _transitions
 from moranlines.exact import GeneratorMatrix, h_star_vector
 import scipy.sparse as sparse
 
@@ -105,7 +106,7 @@ def test_bp_generator_matches_enumeration_under_selection():
     Q = gen.Q.toarray()
     for k, s in enumerate(gen.states):
         agg = {}
-        for tr in enumerate_transitions(s, p):
+        for tr in _transitions(s, p):
             agg[tr.target] = agg.get(tr.target, 0.0) + tr.rate
         off = 0.0
         for tgt, rate in agg.items():

@@ -11,9 +11,10 @@ from scipy.stats import chi2
 import moranlines.model as model
 import moranlines.transformed as transformed
 from moranlines import (BudgetError, ParamError, canonical_start,
-                        enumerate_transitions, finite_stationary_law,
+                        finite_stationary_law,
                         init_forest, make_state, pair_distance_samples,
                         path_value, run_until)
+from moranlines.backward import BpState, _transitions
 from moranlines.exact import (_law_grid, build_bp_generator,
                               build_type_generator, config_law_vector,
                               expm_apply)
@@ -39,7 +40,7 @@ def test_constant_weights_reproduce_base_rates():
     gen = build_bp_generator(p, start)
     kernel = HTransformedKernel(p=p, gen=gen, h=np.ones(gen.n))
     for state in gen.states[:6]:
-        base = enumerate_transitions(state, p)
+        base = _transitions(state, p)
         got = transformed_rates(kernel, state)
         assert [(tr.target, tr.kind) for tr in got] == \
                [(tr.target, tr.kind) for tr in base]
@@ -54,7 +55,7 @@ def test_homogeneous_rates_conserve_outflow():
     gen = kernel.gen
     for k, state in enumerate(gen.states):
         rates = transformed_rates(kernel, state)
-        for tr, base in zip(rates, enumerate_transitions(state, p)):
+        for tr, base in zip(rates, _transitions(state, p)):
             want = base.rate * kernel.h[gen.index[tr.target]] / kernel.h[k]
             assert tr.rate == pytest.approx(want, rel=1e-14)
         total = sum(tr.rate for tr in rates)
@@ -211,7 +212,7 @@ def test_state_tables_match_rates_and_dominate():
     rng = philox(31, 0)
     picks = rng.choice(gen.n, size=8, replace=False)
     for state in (gen.states[i] for i in picks):
-        sid = ht.sids((state,))
+        sid = ht.sids((state.key,))
         ht.build(sid)
         tab = ht.tab[sid[0]]
         num, den = ht.rows[ht.top - 2 * tab], ht.rows[sid[0]]
@@ -315,6 +316,33 @@ def test_per_path_sampler_enumerates_each_state_once(monkeypatch):
         sample_transformed_path(kernel, start, rng, 1.0, cache=None)
     assert len(calls) > 1
     assert set(calls.values()) == {1}
+
+
+def test_one_state_built_per_numbered_state(monkeypatch):
+    # states are numbered by key, and a BpState is built only for a key
+    # seen for the first time, not for every enumerated target
+    p = mk(3, d=3, B=1.0, S=1.0)
+    starts = [canonical_start(p, {0: u}) for u in range(3)]
+    starts += [canonical_start(p, {0: u, 1: v})
+               for u in range(3) for v in range(3)]
+    built = []
+    init = BpState.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(BpState, "__init__", counted)
+    gen = build_bp_generator(p, starts)
+    assert 0 < len(built) <= gen.n
+
+    ht = make_inhomogeneous_kernel(p, np.full(3, 1 / 3), 0.5).ht
+    sids = ht.sids([s.key for s in starts])
+    before = len(ht.states)
+    built.clear()
+    ht.build(sids)
+    assert len(ht.states) > before
+    assert len(built) <= len(ht.states) - before
 
 
 def test_block_sampler_stream_is_pinned():
@@ -483,7 +511,12 @@ def test_conditioned_marginal_chi_square():
     counts = Counter()
     for _ in range(n):
         path = sample_transformed_path(kernel, start, rng, t_end=T)
-        counts[path.state_at(s)] += 1
+        state = path.initial
+        for t, tr in path.events:
+            if t > s:
+                break
+            state = tr.target
+        counts[state] += 1
 
     # bin states with tiny expectation together before the chi-square
     obs, exp = [], []
