@@ -17,7 +17,8 @@ import numpy as np
 import scipy.sparse as sparse
 
 from moranlines import backward, canonical_start, exact, reduced, transformed
-from moranlines.model import ModelParams, validate_params
+
+from helpers import mk
 
 TRACER = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -108,9 +109,7 @@ def test_engines_call_the_traced_enumeration(monkeypatch):
             "moranlines.transformed"} <= rebound
 
     d = 3
-    p = validate_params(ModelParams(
-        N=3, d=d, B=1.0, b=tuple((1.0 / d,) * d for _ in range(d)), S=1.0,
-        chi=(0.0, 0.5, 1.0)))
+    p = mk(3, d=d, S=1.0)
     starts = [canonical_start(p, {0: u, 1: v})
               for u in range(d) for v in range(d)]
     gen = exact.build_bp_generator(p, starts)
