@@ -440,13 +440,23 @@ def test_fuzz_invariants_and_kind_coverage_three_types():
 def test_records_carry_normalized_target_keys():
     # the engines number a target by its record's (marks, active), so each
     # record must hold the target's normal form: make_state's fields, never
-    # the source's own key, and a positive rate
+    # the source's own key, and a positive rate; d = 4 reaches prefix
+    # resets up to w = 2 and longer 2diii runs, S = N gives every "ii"
+    # kind its largest rate
     b = ((0.5, 0.3, 0.2), (0.1, 0.6, 0.3), (0.25, 0.25, 0.5))
+    b4 = ((0.4, 0.3, 0.2, 0.1), (0.1, 0.5, 0.2, 0.2),
+          (0.25, 0.25, 0.3, 0.2), (0.15, 0.15, 0.3, 0.4))
     cases = [
         (mk(4, S=1.0, b=((0.7, 0.3), (0.2, 0.8))), 25,
          [{0: 0, 2: 1}, {1: 1}]),
         (mk(4, d=3, S=2.0, b=b, chi=(0.0, 0.35, 1.0)), 26,
          [{0: 1, 1: 1}, {0: 0, 3: 2}]),
+        (mk(3, d=4, S=1.5, b=b4, chi=(0.0, 0.2, 0.55, 1.0)), 27,
+         [{0: 3, 1: 1}, {2: 0}]),
+        (mk(4, S=4.0, b=((0.7, 0.3), (0.2, 0.8))), 28,
+         [{0: 1, 1: 0}, {3: 1}]),
+        (mk(3, d=4, S=3.0, b=b4, chi=(0.0, 0.2, 0.55, 1.0)), 29,
+         [{0: 2, 2: 2}, {1: 3}]),
     ]
     for p, seed, tagged in cases:
         rng = philox(seed, 1)

@@ -4,7 +4,9 @@ Builds type, backward, ancestor-type, pair and conditioned generators on
 fixed parameters and compares the sha256 of each one's states, CSR
 arrays, nnz and Feynman-Kac diagonal with generator_digests.json, so a
 change to how generators are assembled proves "no generator changed"
-here.  Like test_output_digests.py, the digests are stored with the
+here.  The backward generators' transition records are pinned too, in
+order and with their rates' exact bits, since Q sums the rates into each
+target and would not see a swapped kind or a reordered record.  Like test_output_digests.py, the digests are stored with the
 numpy and scipy versions that produced them and the test skips under
 any others.  After an intended change, regenerate the file with
 
@@ -19,6 +21,7 @@ import pytest
 import scipy
 
 from moranlines import BpState, canonical_start, finite_stationary_law
+from moranlines.backward import enumerate_transitions
 from moranlines.exact import build_bp_generator, build_type_generator
 from moranlines.reduced import (CatChainSpec, DistChainSpec, cat_generator,
                                 dist_generator, _transformed_generator)
@@ -97,6 +100,26 @@ def digest(gen) -> str:
     return h.hexdigest()
 
 
+def records_digest(gen, p) -> str:
+    """sha256 of every (kind, rate bits, marks, active) record, in order,
+    over the generator's states."""
+    h = hashlib.sha256()
+    for s in gen.states:
+        for kind, rate, marks, active in enumerate_transitions(s, p):
+            h.update(repr((kind, rate.hex(), marks, active)).encode())
+    return h.hexdigest()
+
+
+def digests() -> dict:
+    """label -> digest, over every generator and every backward model's
+    records."""
+    gens = generators()
+    out = {label: digest(gen) for label, gen in gens.items()}
+    for label, p in MODELS.items():
+        out[f"records/{label}"] = records_digest(gens[f"bp/{label}"], p)
+    return out
+
+
 def _versions() -> dict:
     return {"numpy": np.__version__, "scipy": scipy.__version__}
 
@@ -106,14 +129,11 @@ def test_generators_match_recorded_digests():
     if recorded["versions"] != _versions():
         pytest.skip(f"digests recorded with {recorded['versions']}, "
                     f"running {_versions()}")
-    got = {label: digest(gen) for label, gen in generators().items()}
-    assert got == recorded["digests"]
+    assert digests() == recorded["digests"]
 
 
 if __name__ == "__main__":
-    payload = {"versions": _versions(),
-               "digests": {label: digest(gen)
-                           for label, gen in generators().items()}}
+    payload = {"versions": _versions(), "digests": digests()}
     DIGESTS.write_text(json.dumps(payload, indent=1, sort_keys=True) + "\n",
                        encoding="utf-8")
     print(f"wrote {len(payload['digests'])} digests to {DIGESTS}")
