@@ -9,8 +9,9 @@ types at that site are compatible with the tagged sample's ancestry.
 Twelve transition clauses move marks (1a), grow or shrink subsets
 (1bi/1bii), merge blocks (2ai/2aii), relocate blocks onto active sites
 (2bi/2bii), reset or clip a subset against the blocks (2ci/2cii), and
-intersect subsets pairwise (2di/2dii/2diii).  The clauses whose rates
-carry the selection differential vanish at S = 0.
+intersect subsets pairwise (2di/2dii/2diii).  2a-2d share one rule: a
+site's subset is reset to the full type space at a base rate (i), or to
+a prefix {0..w} at a selection step (ii), which vanishes at S = 0.
 
 Occupied sites formally keep a stored subset, but no rate, no weight and
 no functional ever reads it, and it is overwritten whenever the site is
@@ -18,9 +19,11 @@ vacated; states here normalize occupied sites' subsets to the full type
 space so that equal behaviour means equal hash.
 
 `enumerate_transitions` lists moves as (kind, rate, marks, active)
-records in that normal form.  The engines number states by the key
-(j_sites, marks, active) and build each `BpState` once, and a full target
-state only where a path records its events.
+records in that normal form; a move is dropped before its target is
+formed when its rate is 0 or it changes no mark and no subset.  The
+engines number states by the key (j_sites, marks, active) and build each
+`BpState` once, and a full target state only where a path records its
+events.
 """
 from __future__ import annotations
 
@@ -151,22 +154,6 @@ def _replace_marks(s: BpState, positions, new_value):
     return tuple(marks)
 
 
-def _with(s: BpState, marks=None, active_updates=None) -> tuple:
-    active = list(s.active)
-    if active_updates:
-        for i, sub in active_updates.items():
-            active[i] = sub
-    if marks is None:
-        # the occupied sites stay put, and updates touch only active sites
-        marks = s.marks
-    else:
-        # renormalize occupied sites (the set of occupied sites may have moved)
-        full = _full(s.d)
-        for (_u, i) in marks:
-            active[i] = full
-    return marks, tuple(active)
-
-
 @dataclass(frozen=True)
 class BpTransition:
     target: BpState
@@ -177,7 +164,9 @@ class BpTransition:
 def enumerate_transitions(s: BpState, p: ModelParams) -> list:
     """Complete list of positive-rate transitions out of s (no self-loops),
     as (kind, rate, marks, active) records; the target is the state with
-    s's tagged positions and these normalized marks and subsets.
+    s's tagged positions and these normalized marks and subsets.  A move
+    is dropped before its target is formed when its rate is 0, or when it
+    changes no mark and no subset.
 
     Clause guards are applied exactly as stated: subset-shrink needs
     |subset| > 1, pairwise intersection clauses need the intersection to
@@ -186,12 +175,29 @@ def enumerate_transitions(s: BpState, p: ModelParams) -> list:
     d, N, b, chi = p.d, p.N, p.b, p.chi
     sel = p.S / (2.0 * N)
     full = _full(d)
-    here = (s.marks, s.active)
     out = []
 
-    def emit(kind, rate, target):
-        if rate > 0.0 and target != here:
-            out.append((kind, rate) + target)
+    def emit(kind, rate, marks, *updates):
+        # a site the move occupies is already full or passed as (site, full)
+        if rate <= 0.0:
+            return
+        active = list(s.active)
+        for i, sub in updates:
+            active[i] = sub
+        active = tuple(active)
+        if marks is None:
+            if active == s.active:
+                return  # a self-loop: no mark and no subset changes
+            marks = s.marks
+        out.append((kind, rate, marks, active))
+
+    def resets(kind, base, n, marks, site, *updates):
+        """The rule 2a-2d share: site's subset is reset to the full type
+        space at rate base, or to {0..w} at n selection steps."""
+        emit(kind + "i", base, marks, (site, full), *updates)
+        for w in range(d - 1):
+            emit(kind + "ii", n * sel * (chi[w + 1] - chi[w]), marks,
+                 (site, tuple(range(w + 1))), *updates)
 
     blocks = s.blocks
     act = s.act_sites
@@ -199,10 +205,9 @@ def enumerate_transitions(s: BpState, p: ModelParams) -> list:
     # 1a: a block's mark hops v -> u at the rate a site's type mutates u -> v
     for (u, site, members) in blocks:
         for u2 in range(d):
-            if u2 == u:
-                continue
-            emit("1a", p.B * b[u2][u],
-                 _with(s, marks=_replace_marks(s, members, (u2, site))))
+            if u2 != u:
+                emit("1a", p.B * b[u2][u],
+                     _replace_marks(s, members, (u2, site)))
 
     # 1bi / 1bii: subsets grow by u at rate B sum_{v in set} b(u,v),
     # shrink by u at rate B sum_{v not in set} b(u,v) while |set| > 1
@@ -210,57 +215,37 @@ def enumerate_transitions(s: BpState, p: ModelParams) -> list:
         sub = s.active[i]
         sub_set = set(sub)
         for u in range(d):
-            if u in sub_set:
-                continue
-            rate = p.B * sum(b[u][v] for v in sub)
-            grown = tuple(sorted(sub + (u,)))
-            emit("1bi", rate, _with(s, active_updates={i: grown}))
+            if u not in sub_set:
+                emit("1bi", p.B * sum(b[u][v] for v in sub), None,
+                     (i, tuple(sorted(sub + (u,)))))
         if len(sub) > 1:
             outside = [v for v in range(d) if v not in sub_set]
             for u in sub:
-                rate = p.B * sum(b[u][v] for v in outside)
-                shrunk = tuple(v for v in sub if v != u)
-                emit("1bii", rate, _with(s, active_updates={i: shrunk}))
+                emit("1bii", p.B * sum(b[u][v] for v in outside), None,
+                     (i, tuple(v for v in sub if v != u)))
 
     # 2a: ordered block pairs with equal marks merge; mover's site is vacated
     for (u, site, members) in blocks:
         for (u2, site2, _members2) in blocks:
-            if site2 == site or u2 != u:
-                continue
-            merged = _replace_marks(s, members, (u2, site2))
-            emit("2ai", 0.5 + sel * (chi[u] - 1.0),
-                 _with(s, marks=merged, active_updates={site: full}))
-            for w in range(d - 1):
-                emit("2aii", sel * (chi[w + 1] - chi[w]),
-                     _with(s, marks=merged,
-                           active_updates={site: tuple(range(w + 1))}))
+            if site2 != site and u2 == u:
+                resets("2a", 0.5 + sel * (chi[u] - 1.0), 1,
+                       _replace_marks(s, members, (u2, site2)), site)
 
     # 2b: a block relocates onto an active site whose subset holds its mark
     for (u, site, members) in blocks:
         for i in act:
-            if u not in s.active[i]:
-                continue
-            moved = _replace_marks(s, members, (u, i))
-            emit("2bi", 0.5 + sel * (chi[u] - 1.0),
-                 _with(s, marks=moved, active_updates={site: full}))
-            for w in range(d - 1):
-                emit("2bii", sel * (chi[w + 1] - chi[w]),
-                     _with(s, marks=moved,
-                           active_updates={site: tuple(range(w + 1))}))
+            if u in s.active[i]:
+                resets("2b", 0.5 + sel * (chi[u] - 1.0), 1,
+                       _replace_marks(s, members, (u, i)), site, (i, full))
 
     # 2c: an active site's subset is reset by each block holding a compatible
     # mark; the target does not depend on which block fired, so rates add
     for i in act:
         sub_set = set(s.active[i])
         hits = [u for (u, _site, _m) in blocks if u in sub_set]
-        if not hits:
-            continue
-        rate_k = sum(0.5 + sel * (chi[u] - 1.0) for u in hits)
-        emit("2ci", rate_k, _with(s, active_updates={i: full}))
-        for w in range(d - 1):
-            rate_w = len(hits) * sel * (chi[w + 1] - chi[w])
-            emit("2cii", rate_w,
-                 _with(s, active_updates={i: tuple(range(w + 1))}))
+        if hits:
+            resets("2c", sum(0.5 + sel * (chi[u] - 1.0) for u in hits),
+                   len(hits), None, i)
 
     # 2d: ordered active pairs with proper nonempty intersection
     for i in act:
@@ -271,16 +256,11 @@ def enumerate_transitions(s: BpState, p: ModelParams) -> list:
             inter = tuple(v for v in s.active[j] if v in set_i)
             if not inter or len(inter) == d:
                 continue
-            emit("2di", 0.5 + sel * (chi[inter[0]] - 1.0),
-                 _with(s, active_updates={i: inter, j: full}))
-            for w in range(d - 1):
-                emit("2dii", sel * (chi[w + 1] - chi[w]),
-                     _with(s, active_updates={i: inter,
-                                              j: tuple(range(w + 1))}))
+            resets("2d", 0.5 + sel * (chi[inter[0]] - 1.0), 1, None, j,
+                   (i, inter))
             for idx in range(1, len(inter)):
-                v, v_less = inter[idx], inter[idx - 1]
-                emit("2diii", sel * (chi[v] - chi[v_less]),
-                     _with(s, active_updates={i: inter[idx:], j: full}))
+                emit("2diii", sel * (chi[inter[idx]] - chi[inter[idx - 1]]),
+                     None, (i, inter[idx:]), (j, full))
 
     return out
 

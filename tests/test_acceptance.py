@@ -17,15 +17,17 @@ from helpers import mk, philox, rand_chi, rand_rows
 from moranlines.backward import canonical_start, make_state
 from moranlines.exact import (build_bp_generator, build_type_generator,
                               compute_h, duality_reports, harmonic_residual)
-from moranlines.forward import neutral_pair_distance_samples
-from moranlines.model import moment_recurrence_residuals, wf_single_moment
+from moranlines.forward import (cat_fixation_type,
+                                neutral_pair_distance_samples)
+from moranlines.model import (finite_stationary_law,
+                              moment_recurrence_residuals, wf_single_moment)
 from moranlines.reduced import (CatChainSpec, DistChainSpec, cat_chain_vs_bp,
                                 cat_equilibrium, dist_chain_vs_bp,
                                 dist_survival, dist_taylor_coeffs,
                                 lemma_ode_residual)
 from moranlines.transformed import (first_coalescence_time,
                                     make_homogeneous_kernel,
-                                    make_inhomogeneous_kernel,
+                                    make_inhomogeneous_kernel, sample_config,
                                     sample_conditioned_lines,
                                     transformed_rates)
 
@@ -285,3 +287,26 @@ def test_criterion_12_conditioned_rates_converge_at_the_spectral_gap():
             worst = max(worst, err * math.exp(gap * T))
     assert worst <= 3.0
     _pass(12, f"gap {gap:.4f}, max error x e^(gap T) {worst:.2f}", t0, 30.0)
+
+
+def test_criterion_13_ancestor_type_under_selection():
+    # a run started from a stationary configuration and read at time 0
+    # returns the ancestor type, whose law is the finite ancestor-type
+    # chain's mark marginal; the naive stationary type frequency sits many
+    # standard errors away, so the gate has power
+    t0 = time.monotonic()
+    p = mk(5, B=1.0, b=PI, S=2.0)
+    law = finite_stationary_law(p)
+    reps = 10_000
+    rng = philox(1313, 0)
+    runs = [cat_fixation_type(p, 0.0, sample_config(p, law, rng), 0.0, rng)
+            for _ in range(reps)]
+    assert "pending" not in runs
+    target = cat_equilibrium(CatChainSpec.finite_n(p, law=law)).marginal[1]
+    se = math.sqrt(target * (1.0 - target) / reps)
+    z = (runs.count(1) / reps - target) / se
+    naive = float(np.dot(law.weights, np.arange(p.N + 1))) / p.N
+    assert abs(naive - target) > 10.0 * se
+    assert abs(z) <= 3.0
+    _pass(13, f"|z| {abs(z):.2f} at {reps} replicates, naive "
+              f"{abs(naive - target) / se:.0f} se away", t0, 60.0)

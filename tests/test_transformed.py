@@ -94,6 +94,25 @@ def test_table_values_match_closed_form():
         assert table.value(r, merged) == pytest.approx(nu0, abs=1e-6)
 
 
+def test_table_value_reads_a_registered_state_directly(monkeypatch):
+    # a registered state's series is one dict lookup away: value must not
+    # go through sids, which fits, builds and extends the tables
+    p = mk(3, d=3, B=1.0, S=1.0)
+    table = HTTable(p, (0.2, 0.5, 0.3), 1.0)
+    state = canonical_start(p, {0: 1, 2: 0})
+    ser = table.rows[table.sids((state.key,)).item(0)].copy()
+
+    def refuse(self, keys):
+        raise AssertionError("sids called for a registered state")
+
+    monkeypatch.setattr(HTTable, "sids", refuse)
+    for r in (0.0, 0.3, 1.0):
+        k = min(int(r / table.step), len(table.grid) - 2)
+        theta = (r - table.grid[k]) / table.step
+        want = (1.0 - theta) * ser[k] + theta * ser[k + 1]
+        assert table.value(r, state) == want
+
+
 @pytest.mark.parametrize("p, nu, T, stride", [
     (mk(2, B=0.0), (0.5, 0.5), 2.0, 1),
     (mk(4, d=3, B=1.0, S=1.0), np.full(3, 1 / 3), 1.0, 1),
