@@ -186,8 +186,8 @@ class HTTable:
     def value(self, t: float, state: BpState) -> float:
         if not (0.0 <= t <= self.T):
             raise ParamError("time outside horizon")
-        k = self.ids.get(state.key)
-        ser = self.rows[self.sids((state.key,)).item(0) if k is None else k]
+        sid = self.ids.get(state.key)
+        ser = self.rows[self.sids((state.key,))[0] if sid is None else sid]
         k = min(int(t / self.step), len(self.grid) - 2)
         theta = (t - self.grid[k]) / self.step
         return float((1.0 - theta) * ser[k] + theta * ser[k + 1])
