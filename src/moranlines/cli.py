@@ -7,8 +7,9 @@ plotdata.csv, then finalizes a manifest.csv (config hash, package
 version, wall time, per-output checksums) atomically so a complete
 manifest implies complete outputs.  Output bodies are deterministic for
 a fixed config: reruns are byte-identical, and replicate randomness
-comes from counter-based streams keyed (seed, k) for replicate block k,
-except for forward-distance at S = 0, whose pair tracer draws every
+comes from counter-based streams keyed (seed, k) for replicate block k
+(`forward._blocks` states the block policy), except for
+forward-distance at S = 0, whose pair tracer draws every
 replicate from one stream keyed seed in a single process, whatever the
 worker count.  The worker count never changes results.
 
@@ -38,8 +39,8 @@ from .model import (BudgetError, ModelParams, ParamError, validate_params,
                     wf_single_moment)
 from .backward import canonical_start
 from .exact import _check_type_chain, duality_reports
-from .forward import (BLOCK_REPS, genealogical_distance, init_forest,
-                      neutral_pair_distance_samples, pair_block_count,
+from .forward import (BLOCK_REPS, _block_size, genealogical_distance,
+                      init_forest, neutral_pair_distance_samples,
                       pair_distance_samples, run_until)
 from .transformed import conditioned_coalescence_times
 from .reduced import (CatChainSpec, DistChainSpec, Y_STATES, cat_equilibrium,
@@ -272,12 +273,15 @@ def _write_survival(out: str, name: str, series: str, times, survives):
                   [(series, t, est) for t, est, _se in rows])
 
 
-def _fan_out(chunk_fn, args: tuple, blocks: int, workers: int) -> np.ndarray:
-    """chunk_fn(*args, block_indices) over blocks 0..blocks-1, split into
+def _fan_out(chunk_fn, args: tuple, reps: int, size: int,
+             workers: int) -> np.ndarray:
+    """chunk_fn(*args, block_indices) over every block of reps replicates
+    in blocks of `size` (the policy of `forward._blocks`), split into
     contiguous runs across at most `workers` processes, and at most one
     per CPU: the pool starts all its processes at once.  A block of
     replicates seeds its own stream, and the runs come back in block
     order, so the worker count never changes the result."""
+    blocks = len(range(0, reps, size))
     workers = min(workers, blocks, os.cpu_count() or 1)
     if workers <= 1:
         return np.array(chunk_fn(*args, range(blocks)), dtype=float)
@@ -299,10 +303,10 @@ def _exp_forward_distance(cfg: ExperimentConfig, out: str) -> list:
     if p.S == 0.0:
         dists = neutral_pair_distance_samples(p.N, T, reps, cfg.seed)
     else:
-        # counting the blocks refuses a population too large for the
-        # dense budget before any worker starts
+        # the block size refuses a population too large for the dense
+        # budget before any worker starts
         dists = _fan_out(pair_distance_samples, (p, T, reps, cfg.seed),
-                         pair_block_count(p.N, reps), cfg.workers)
+                         reps, _block_size(p.N), cfg.workers)
 
     _write_survival(out, "distance_survival.csv", "distance-survival",
                     times, lambda t: dists > 2.0 * t)
@@ -335,7 +339,7 @@ def _exp_conditioned(cfg: ExperimentConfig, out: str) -> list:
     nu = _start_law(cfg)
     sigmas = _fan_out(conditioned_coalescence_times,
                       (p, T, cfg.replicates, cfg.seed, tagged, nu),
-                      -(-cfg.replicates // BLOCK_REPS), cfg.workers)
+                      cfg.replicates, BLOCK_REPS, cfg.workers)
 
     _write_survival(out, "conditioned_survival.csv", "conditioned-survival",
                     times, lambda t: sigmas > t)

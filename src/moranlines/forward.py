@@ -11,17 +11,21 @@ The pairwise genealogical distance is twice the elapsed time since the
 two lines last agreed; lines agree exactly while they traverse the same
 node, which reduces the distance to a walk up the two parent chains.
 
-`_step_at` is the single place that draws and applies an event to a
-forest; the forest runner and the common-ancestor tracer both advance
-through it, so they share one event law and one draw order.  Two
-samplers read only one pair's distance and keep no forest:
+`_step_at` is the single place that draws an event against the site
+types; the forest runner applies it to a forest, and the common-ancestor
+tracer to its own types and ancestor map, so both share one event law
+and one draw order and the tracer keeps no forest.  Two samplers read
+only one pair's distance and keep no forest either:
 `neutral_pair_distance_samples` traces the pair's two lines backward
 (S = 0 only), and `pair_distance_samples` runs blocks of replicates
 forward under `_step_at`'s event law, carrying only the types and the
-times at which each two lines last agreed.
+times at which each two lines last agreed.  `_blocks` states the block
+policy that it and the conditioned block sampler share.
 """
 from __future__ import annotations
 
+import bisect
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -40,12 +44,11 @@ __all__ = [
     "genealogical_distance",
     "cat_fixation_type",
     "neutral_pair_distance_samples",
-    "pair_block_count",
     "pair_distance_samples",
 ]
 
 FIXATION_HORIZON_PER_SITE = 50.0  # cat_fixation_type's clock budget per site
-BLOCK_REPS = 1024  # replicates per block of pair_distance_samples, at most
+BLOCK_REPS = 1024  # replicates per block of the block samplers, at most
 
 
 @dataclass
@@ -59,7 +62,7 @@ class ForestNode:
 
 @dataclass(frozen=True)
 class HmmEvent:
-    """One applied population event.
+    """One population event, drawn by `_step_at`.
 
     kind "mutation": src is the site, dst the drawn type (possibly the
     current one, a no-op).  kind "resample": src's line is copied onto
@@ -82,14 +85,20 @@ class LineageForest:
     heads: list
     current_types: list
 
-    @property
-    def N(self) -> int:
-        return len(self.heads)
-
 
 def init_forest(p: ModelParams, time_origin: float, types) -> LineageForest:
     """One constant line per site, typed by the given initial configuration,
     started at clock value time_origin."""
+    time_origin, types = _check_start(p, time_origin, types)
+    nodes = [ForestNode(birth_time=time_origin, type_at_birth=u, site=i,
+                        parent=None) for i, u in enumerate(types)]
+    return LineageForest(time_origin=time_origin, now=time_origin,
+                         nodes=nodes, heads=list(range(p.N)),
+                         current_types=types)
+
+
+def _check_start(p: ModelParams, time_origin: float, types) -> tuple:
+    """Validated (time origin, list of initial types) of a population run."""
     validate_params(p)
     time_origin = float(time_origin)
     if not math.isfinite(time_origin):
@@ -99,37 +108,20 @@ def init_forest(p: ModelParams, time_origin: float, types) -> LineageForest:
         raise ParamError("one initial type per site required")
     if any(not (0 <= u < p.d) for u in types):
         raise ParamError("initial type outside type space")
-    nodes = [ForestNode(birth_time=time_origin, type_at_birth=u, site=i,
-                        parent=None) for i, u in enumerate(types)]
-    return LineageForest(time_origin=time_origin, now=time_origin,
-                         nodes=nodes, heads=list(range(p.N)),
-                         current_types=list(types))
+    return time_origin, types
 
 
-def _draw_row(row, x):
-    """Index u with cumulative row mass first exceeding x."""
-    acc = 0.0
-    for u, w in enumerate(row):
-        acc += w
-        if x < acc:
-            return u
-    return len(row) - 1
-
-
-def _step_at(forest: LineageForest, p: ModelParams, rng, t: float) -> HmmEvent:
-    """Apply one event at a predetermined time t (holding already drawn)."""
+def _step_at(types: list, p: ModelParams, rng, t: float) -> HmmEvent:
+    """Draw one event at a predetermined time t (holding already drawn)
+    against the current site types; the caller applies it."""
     rate_mut = p.N * p.B
-    rate_res = p.N * p.N / 2.0
-    total = rate_mut + rate_res
+    total = rate_mut + p.N * p.N / 2.0
     sel = p.S / (2.0 * p.N)
-    forest.now = t
     if rng.random() * total < rate_mut:
         i = int(rng.integers(p.N))
-        old = forest.current_types[i]
-        u = _draw_row(p.b[old], rng.random())
-        if u != old:
-            forest.nodes[forest.heads[i]].mutations.append((t, u))
-            forest.current_types[i] = u
+        # the first type whose cumulative mass exceeds the draw, else the last
+        cum = list(itertools.accumulate(p.b[types[i]]))
+        u = min(bisect.bisect_right(cum, rng.random()), p.d - 1)
         return HmmEvent(kind="mutation", time=t, src=i, dst=u)
 
     # resampling: ordered pair by thinning against the maximal tilted rate
@@ -137,18 +129,9 @@ def _step_at(forest: LineageForest, p: ModelParams, rng, t: float) -> HmmEvent:
     while True:
         src = int(rng.integers(p.N))
         dst = int(rng.integers(p.N))
-        rate = 0.5 + sel * (p.chi[forest.current_types[src]]
-                            - p.chi[forest.current_types[dst]])
+        rate = 0.5 + sel * (p.chi[types[src]] - p.chi[types[dst]])
         if rng.random() * rate_max < rate:
-            break
-    if src != dst:
-        child = ForestNode(birth_time=t,
-                           type_at_birth=forest.current_types[src],
-                           site=dst, parent=forest.heads[src])
-        forest.nodes.append(child)
-        forest.heads[dst] = len(forest.nodes) - 1
-        forest.current_types[dst] = forest.current_types[src]
-    return HmmEvent(kind="resample", time=t, src=src, dst=dst)
+            return HmmEvent(kind="resample", time=t, src=src, dst=dst)
 
 
 def run_until(forest: LineageForest, p: ModelParams, T: float, rng,
@@ -161,12 +144,22 @@ def run_until(forest: LineageForest, p: ModelParams, T: float, rng,
     if not forest.now <= T < math.inf:
         raise ParamError("horizon before current time or not finite")
     total = p.N * p.B + p.N * p.N / 2.0
+    types = forest.current_types
     while True:
         dt = rng.exponential(1.0 / total)
         if forest.now + dt >= T:
             forest.now = T
             return forest
-        evt = _step_at(forest, p, rng, forest.now + dt)
+        forest.now = t = forest.now + dt
+        evt = _step_at(types, p, rng, t)
+        i, j = evt.src, evt.dst
+        if evt.kind == "mutation" and j != types[i]:
+            forest.nodes[forest.heads[i]].mutations.append((t, j))
+            types[i] = j
+        elif evt.kind == "resample" and i != j:
+            forest.nodes.append(ForestNode(t, types[i], j, forest.heads[i]))
+            forest.heads[j] = len(forest.nodes) - 1
+            types[j] = types[i]
         if trace is not None:
             trace.append(evt)
 
@@ -209,7 +202,7 @@ def genealogical_distance(forest: LineageForest, i: int, j: int) -> float:
     Agreement means traversing the same node; if the parent chains never
     meet, the last-agreement time defaults to the forest's time origin.
     """
-    if not (0 <= i < forest.N and 0 <= j < forest.N):
+    if not (0 <= i < len(forest.heads) and 0 <= j < len(forest.heads)):
         raise ParamError("site outside population")
     exits_i = _chain_exits(forest, i)
     exits_j = _chain_exits(forest, j)
@@ -233,8 +226,8 @@ def cat_fixation_type(p: ModelParams, c: float, types, t: float, rng):
     has not collapsed within FIXATION_HORIZON_PER_SITE * N time units of
     elapsed clock.
     """
-    forest = init_forest(p, c, types)
-    c, t = forest.time_origin, float(t)
+    c, types = _check_start(p, c, types)
+    t = float(t)
     # NaN fails every comparison, so this also refuses it
     if not c <= t < math.inf:
         raise ParamError("evaluation time before start time or not finite")
@@ -242,23 +235,27 @@ def cat_fixation_type(p: ModelParams, c: float, types, t: float, rng):
     total = p.N * p.B + p.N * p.N / 2.0
     # anc[i]: which time-t site the line now at i descends from; tracked
     # only once the clock has crossed t, with the types frozen there
-    anc = None
-    frozen = None
+    anc = frozen = None
+    now = c
     while True:
-        now = forest.now + rng.exponential(1.0 / total)
+        now += rng.exponential(1.0 / total)
         if anc is None and now >= t:
-            frozen = list(forest.current_types)
+            frozen = list(types)
             anc = list(range(p.N))
             if p.N == 1:
                 return frozen[0]
         if now - c >= horizon_cap:
             return "pending"
-        evt = _step_at(forest, p, rng, now)
-        if anc is not None and evt.kind == "resample" and evt.src != evt.dst:
-            anc[evt.dst] = anc[evt.src]
-            first = anc[0]
-            if all(a == first for a in anc):
-                return frozen[first]
+        evt = _step_at(types, p, rng, now)
+        if evt.kind == "mutation":
+            types[evt.src] = evt.dst
+        elif evt.src != evt.dst:
+            types[evt.dst] = types[evt.src]
+            if anc is not None:
+                anc[evt.dst] = anc[evt.src]
+                first = anc[0]
+                if all(a == first for a in anc):
+                    return frozen[first]
 
 
 def _check_pair_args(N: int, T: float, reps: int) -> float:
@@ -324,9 +321,17 @@ def neutral_pair_distance_samples(N: int, T: float, reps: int,
     return 2.0 * (T - tau)
 
 
-def _check_blocks(reps: int, size: int, blocks) -> list:
-    """`blocks` as a list; ParamError for a negative reps, or for an
-    index outside 0..ceil(reps / size) - 1 (blocks of `size` replicates)."""
+def _blocks(reps: int, size: int, seed: int, blocks) -> list:
+    """The block policy of both replicate samplers, stated once.
+
+    reps replicates fall into ceil(reps / size) blocks of `size`, the
+    last one short when size does not divide reps, and block k draws
+    from the stream keyed (seed, k); so a block's replicates do not
+    depend on which other blocks run, or where.  Returns, for each index
+    in `blocks` and in that order, the block's replicate count and its
+    generator.  A negative reps, or an index outside the blocks, is a
+    ParamError raised before any stream is made.
+    """
     if reps < 0:
         raise ParamError("replicate count must be nonnegative")
     count = -(-reps // size)
@@ -335,25 +340,20 @@ def _check_blocks(reps: int, size: int, blocks) -> list:
         if not 0 <= k < count:
             raise ParamError(f"block index {k} outside the {count} blocks "
                              f"of {reps} replicates")
-    return blocks
+    return [(min(size, reps - k * size),
+             np.random.Generator(np.random.Philox(key=(seed, k))))
+            for k in blocks]
 
 
 def _block_size(N: int) -> int:
     """BLOCK_REPS, or fewer when a block's N x N agreement-time matrices
-    would exceed DENSE_SOLVE_BYTES; BudgetError when even one would."""
+    would exceed DENSE_SOLVE_BYTES; BudgetError, allocating nothing, when
+    even one would."""
     per_rep = 8 * N * N
     if per_rep > DENSE_SOLVE_BYTES:
         raise BudgetError(f"agreement times of {N} sites exceed the dense "
                           f"budget of {DENSE_SOLVE_BYTES} bytes")
     return min(BLOCK_REPS, DENSE_SOLVE_BYTES // per_rep)
-
-
-def pair_block_count(N: int, reps: int) -> int:
-    """Number of replicate blocks `pair_distance_samples` runs for reps
-    replicates at population N.  Raises BudgetError, allocating nothing,
-    when even one replicate's N x N agreement times exceed
-    DENSE_SOLVE_BYTES."""
-    return -(-reps // _block_size(N))
 
 
 def pair_distance_samples(p: ModelParams, T: float, reps: int, seed: int,
@@ -365,22 +365,16 @@ def pair_distance_samples(p: ModelParams, T: float, reps: int, seed: int,
     block advance together, and each carries its types and the matrix
     A whose entry (i, j) is the last time the lines at sites i and j
     agreed (0 if never).  The distance is 2 (T - A[0, 1]).  The reps
-    replicates fall into `pair_block_count(N, reps)` blocks of
-    BLOCK_REPS (fewer at large N); block k draws from the stream keyed
-    (seed, k).  Only the block indices in `blocks` run, and their
-    replicates come back in that order; an index outside the reps
-    replicates' blocks is refused.
+    replicates run in blocks of `_block_size(N)` (BLOCK_REPS, fewer at
+    large N) under the policy of `_blocks`: only the block indices in
+    `blocks` run, and their replicates come back in that order.
     """
     validate_params(p)
     T = _check_pair_args(p.N, T, reps)
-    size = _block_size(p.N)
-    blocks = _check_blocks(reps, size, blocks)
-    parts = []
-    for k in blocks:
-        rng = np.random.Generator(np.random.Philox(key=(seed, k)))
-        _types, A = _agreement_block(p, T, min(size, reps - k * size), rng)
-        parts.append(2.0 * (T - A[:, 0, 1]))
-    return np.concatenate(parts) if parts else np.zeros(0)
+    runs = _blocks(reps, _block_size(p.N), seed, blocks)
+    return np.concatenate([np.zeros(0)] + [
+        2.0 * (T - _agreement_block(p, T, n, rng)[1][:, 0, 1])
+        for n, rng in runs])
 
 
 def _agreement_block(p: ModelParams, T: float, reps: int, rng) -> tuple:
@@ -401,7 +395,7 @@ def _agreement_block(p: ModelParams, T: float, reps: int, rng) -> tuple:
     sel = p.S / (2.0 * N)
     rate_max = 0.5 + sel
     chi = np.asarray(p.chi)
-    cum = np.cumsum(np.asarray(p.b), axis=1)    # _draw_row's running sums
+    cum = np.cumsum(np.asarray(p.b), axis=1)    # _step_at's running sums
     types = rng.integers(0, p.d, size=(reps, N))
     A = np.zeros((reps, N, N))
     live = np.arange(reps)

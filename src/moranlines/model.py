@@ -114,18 +114,10 @@ def two_type_mutation_rates(p: ModelParams) -> tuple:
 
 
 def _irreducible(b) -> bool:
-    # reachability closure on the directed support graph of b
+    # every type reaches every other within d - 1 steps on the support of b
     d = len(b)
-    reach = [[b[u][v] > 0 or u == v for v in range(d)] for u in range(d)]
-    for k in range(d):
-        for u in range(d):
-            if reach[u][k]:
-                row_k = reach[k]
-                row_u = reach[u]
-                for v in range(d):
-                    if row_k[v]:
-                        row_u[v] = True
-    return all(all(row) for row in reach)
+    step = (np.asarray(b) > 0) | np.eye(d, dtype=bool)
+    return bool(np.linalg.matrix_power(step, d - 1).all())
 
 
 @dataclass(frozen=True)

@@ -36,7 +36,7 @@ from .backward import (TRANSITION_KINDS, BpPath, BpState, BpTransition,
 from .exact import (GeneratorMatrix, _law_grid, _project, _type_configs,
                     build_bp_generator, build_type_generator, compute_h,
                     config_law_vector)
-from .forward import (BLOCK_REPS, LineageForest, _check_blocks, init_forest,
+from .forward import (BLOCK_REPS, LineageForest, _blocks, init_forest,
                       run_until)
 
 __all__ = [
@@ -379,21 +379,17 @@ def conditioned_coalescence_times(p: ModelParams, T: float, reps: int,
     started from law nu at time -T; infinity where no two lines merge
     within T.
 
-    The reps replicates fall into blocks of BLOCK_REPS, and block k
-    draws from the stream keyed (seed, k).  Only the block indices in
-    `blocks` run, and their times come back in that order; an index
-    outside the reps replicates' blocks is refused.  The horizon table
-    and its thinning tables are shared by the blocks of one call.
+    The reps replicates run in blocks of BLOCK_REPS under the policy of
+    `forward._blocks`: only the block indices in `blocks` run, and their
+    times come back in that order; a bad index is refused before any
+    table is built.  The horizon table and its thinning tables are
+    shared by the blocks of one call.
     """
-    blocks = _check_blocks(reps, BLOCK_REPS, blocks)
+    runs = _blocks(reps, BLOCK_REPS, seed, blocks)
     ht = make_inhomogeneous_kernel(p, nu, T).ht
     start = ht.sids((canonical_start(p, tagged).key,)).item(0)
-    parts = []
-    for k in blocks:
-        rng = np.random.Generator(np.random.Philox(key=(seed, k)))
-        parts.append(_coalescence_block(
-            ht, start, min(BLOCK_REPS, reps - k * BLOCK_REPS), rng))
-    return np.concatenate(parts) if parts else np.zeros(0)
+    return np.concatenate([np.zeros(0)] + [
+        _coalescence_block(ht, start, n, rng) for n, rng in runs])
 
 
 @dataclass(frozen=True)

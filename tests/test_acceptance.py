@@ -16,16 +16,19 @@ import numpy as np
 from helpers import mk, philox, rand_chi, rand_rows
 from moranlines.backward import canonical_start, make_state
 from moranlines.exact import (build_bp_generator, build_type_generator,
-                              compute_h, duality_reports, harmonic_residual)
-from moranlines.forward import (cat_fixation_type,
-                                neutral_pair_distance_samples)
+                              compute_h, config_law_vector, duality_reports,
+                              expm_apply, harmonic_residual)
+from moranlines.forward import (BLOCK_REPS, cat_fixation_type,
+                                neutral_pair_distance_samples,
+                                pair_distance_samples)
 from moranlines.model import (finite_stationary_law,
                               moment_recurrence_residuals, wf_single_moment)
 from moranlines.reduced import (CatChainSpec, DistChainSpec, cat_chain_vs_bp,
                                 cat_equilibrium, dist_chain_vs_bp,
                                 dist_survival, dist_taylor_coeffs,
                                 lemma_ode_residual)
-from moranlines.transformed import (first_coalescence_time,
+from moranlines.transformed import (conditioned_coalescence_times,
+                                    first_coalescence_time,
                                     make_homogeneous_kernel,
                                     make_inhomogeneous_kernel, sample_config,
                                     sample_conditioned_lines,
@@ -310,3 +313,55 @@ def test_criterion_13_ancestor_type_under_selection():
     assert abs(z) <= 3.0
     _pass(13, f"|z| {abs(z):.2f} at {reps} replicates, naive "
               f"{abs(naive - target) / se:.0f} se away", t0, 60.0)
+
+
+def test_criterion_14_agreement_sampler_under_selection():
+    # the agreement-time sampler starts from uniform types at time 0; were
+    # the type law at T - t stationary, P(D > 2t) would be the finite pair
+    # chain's value, and the exact total-variation distance of that law
+    # from stationarity bounds the bias, here far below the noise
+    t0 = time.monotonic()
+    p = mk(10, B=1.0, b=PI, S=2.0)
+    T, ts, reps = 10.0, (0.25, 0.5, 1.0, 2.0), 40_000
+    dists = pair_distance_samples(p, T, reps, 1414,
+                                  range(-(-reps // BLOCK_REPS)))
+    assert dists.shape == (reps,)
+    exact = dist_survival(DistChainSpec.finite_n(p), ts, (0,))
+    gen = build_type_generator(p)
+    start = config_law_vector(p, np.full(p.d, 1.0 / p.d), gen.states)
+    stationary = config_law_vector(p, finite_stationary_law(p), gen.states)
+    worst_z, worst_tv = 0.0, 0.0
+    for t in ts:
+        target = exact.pf_value(0, t)
+        se = math.sqrt(target * (1.0 - target) / reps)
+        law = expm_apply(gen, start, T - t, transpose=True)
+        tv = 0.5 * float(np.abs(law - stationary).sum())
+        assert tv < 0.1 * se, (t, tv, se)
+        worst_tv = max(worst_tv, tv / se)
+        worst_z = max(worst_z, abs(np.mean(dists > 2.0 * t) - target) / se)
+    assert worst_z <= 3.0
+    _pass(14, f"max |z| {worst_z:.2f} at {reps} replicates, type-law bias "
+              f"at most {worst_tv:.1e} se", t0, 60.0)
+
+
+def test_criterion_15_block_sampler_at_the_limit():
+    # the paper's limit theorem for the block sampler: at a long horizon,
+    # started with every site of type 0, the first coalescence time of the
+    # tagged lines has the law it has under the stationary start
+    t0 = time.monotonic()
+    p = mk(3, d=3, B=0.7, b=((0.2, 0.5, 0.3), (0.6, 0.1, 0.3),
+                             (0.25, 0.25, 0.5)), S=2.0, chi=(0.0, 0.4, 1.0))
+    tagged, T, ts, reps = {0: 0, 1: 2}, 12.0, (0.25, 0.5, 1.0, 2.0), 8_192
+    blocks = range(-(-reps // BLOCK_REPS))
+    far = conditioned_coalescence_times(p, T, reps, 1515, tagged,
+                                        {(0, 0, 0): 1.0}, blocks)
+    near = conditioned_coalescence_times(p, T, reps, 1516, tagged,
+                                         finite_stationary_law(p), blocks)
+    worst = 0.0
+    for t in ts:
+        a, b = np.mean(far > t), np.mean(near > t)
+        se = math.sqrt((a * (1.0 - a) + b * (1.0 - b)) / reps)
+        worst = max(worst, abs(a - b) / se)
+    assert worst <= 3.0
+    _pass(15, f"max two-sample |z| {worst:.2f} at {reps} replicates each",
+          t0, 60.0)

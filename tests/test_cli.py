@@ -180,9 +180,10 @@ def test_fan_out_starts_at_most_one_process_per_cpu(monkeypatch):
 
     monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
-    many = cli._fan_out(chunk, (0.5,), 977, 1000)
+    # 977 replicates in blocks of one: 977 blocks
+    many = cli._fan_out(chunk, (0.5,), 977, 1, 1000)
     assert seen == [2]
-    assert many.tobytes() == cli._fan_out(chunk, (0.5,), 977, 1).tobytes()
+    assert many.tobytes() == cli._fan_out(chunk, (0.5,), 977, 1, 1).tobytes()
     assert seen == [2]
 
 

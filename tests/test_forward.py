@@ -7,9 +7,9 @@ import pytest
 
 from moranlines import (BudgetError, ParamError, cat_fixation_type,
                         genealogical_distance, init_forest,
-                        neutral_pair_distance_samples, pair_block_count,
-                        pair_distance_samples, path_value, run_until)
-from moranlines import model
+                        neutral_pair_distance_samples, pair_distance_samples,
+                        path_value, run_until)
+from moranlines import cli, model
 import moranlines.forward as forward
 
 from helpers import mk, philox, three_se
@@ -70,9 +70,8 @@ def test_extreme_selection_event_law():
     counts = {}
     n = 4000
     for _ in range(n):
-        f = init_forest(p, 0.0, (0, 1))
         # one event, after a holding time drawn at the total rate N^2/2
-        evt = forward._step_at(f, p, rng, rng.exponential(0.5))
+        evt = forward._step_at([0, 1], p, rng, rng.exponential(0.5))
         assert evt.kind == "resample"
         counts[(evt.src, evt.dst)] = counts.get((evt.src, evt.dst), 0) + 1
     assert (0, 1) not in counts          # zero-rate direction never fires
@@ -339,7 +338,7 @@ def test_neutral_trace_merge_sites_match_forest():
 
 def _agreement_samples(p, T, reps, seed):
     return pair_distance_samples(p, T, reps, seed,
-                                 range(pair_block_count(p.N, reps)))
+                                 range(-(-reps // forward._block_size(p.N))))
 
 
 def _check_pair_validation(sample):
@@ -402,12 +401,34 @@ def test_pair_sampler_matches_forest_off_the_first_sites():
     _check_pair_sampler_against_forest(p, (2, 0), (27, 0), 28)
 
 
+def test_block_driver_cuts_a_short_last_block_and_keeps_the_order():
+    size = 4
+    runs = forward._blocks(2 * size + 1, size, 7, [2, 0, 1])
+    assert [n for n, _rng in runs] == [1, size, size]
+    for k, (_n, rng) in zip([2, 0, 1], runs):
+        assert rng.random() == philox(7, k).random()
+    assert forward._blocks(0, size, 7, []) == []
+    # the agreement-time sampler returns its blocks in the order asked
+    p, reps = mk(3, S=1.0), 2 * forward.BLOCK_REPS + 1
+    parts = [pair_distance_samples(p, 0.5, reps, 7, [k]) for k in range(3)]
+    assert [part.size for part in parts] == [forward.BLOCK_REPS] * 2 + [1]
+    assert np.array_equal(pair_distance_samples(p, 0.5, reps, 7, [2, 0]),
+                          np.concatenate([parts[2], parts[0]]))
+
+
+def _fanned_blocks(reps, size):
+    # the block indices the CLI hands out for reps replicates in blocks
+    # of `size`, in order
+    return [int(k) for k in cli._fan_out(list, (), reps, size, 1)]
+
+
 def test_pair_sampler_refuses_oversized_population(monkeypatch):
     # one replicate's agreement times at N = 5,793 take 268,468,392 bytes,
     # just past the dense budget; the refusal comes before any numpy call
     assert 8 * 5792 ** 2 <= model.DENSE_SOLVE_BYTES < 8 * 5793 ** 2
-    assert pair_block_count(5792, 10) == 10
-    assert pair_block_count(3, 2 * forward.BLOCK_REPS + 1) == 3
+    assert _fanned_blocks(10, forward._block_size(5792)) == list(range(10))
+    assert _fanned_blocks(2 * forward.BLOCK_REPS + 1,
+                          forward._block_size(3)) == [0, 1, 2]
 
     class NoNumpy:
         def __getattr__(self, name):
@@ -415,7 +436,7 @@ def test_pair_sampler_refuses_oversized_population(monkeypatch):
 
     monkeypatch.setattr(forward, "np", NoNumpy())
     with pytest.raises(BudgetError, match="dense budget"):
-        pair_block_count(5793, 10)
+        forward._block_size(5793)
     with pytest.raises(BudgetError, match="dense budget"):
         pair_distance_samples(mk(5793, S=1.0), 1.0, 10, 0, range(1))
 
@@ -429,6 +450,22 @@ def test_pair_sampler_refuses_oversized_population(monkeypatch):
 
 GUARD_P = mk(4, d=3, B=0.8, S=2.0, chi=(0.0, 0.4, 1.0),
              b=((0.2, 0.5, 0.3), (0.4, 0.4, 0.2), (0.1, 0.3, 0.6)))
+
+
+def test_cat_fixation_type_keeps_no_forest(monkeypatch):
+    # the tracer applies each event to its own types and ancestor map; a
+    # forest kept for nothing grew to about N^2 nodes (439,234 at N = 800)
+    def no_node(*args, **kwargs):
+        raise AssertionError("cat_fixation_type built a forest node")
+
+    monkeypatch.setattr(forward, "ForestNode", no_node)
+    got = [cat_fixation_type(GUARD_P, 0.0, (0, 2, 1, 2), 0.3, philox(seed, 3))
+           for seed in range(5)]
+    assert got == [2, 2, 2, 0, 2]     # the pinned runs below
+    p = mk(60, B=1.0, b=((0.3, 0.7), (0.3, 0.7)), S=1.0)
+    rng = philox(1, 0)
+    assert cat_fixation_type(p, 0.0, rng.integers(0, 2, size=60), 0.0,
+                             rng) in (0, 1)
 
 
 def test_cat_fixation_type_draw_order_is_pinned():

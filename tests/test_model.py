@@ -1,6 +1,7 @@
 """Parameter validation, stationary type laws, and Wright-Fisher moments."""
 
 import math
+from collections import deque
 from fractions import Fraction
 
 import numpy as np
@@ -133,6 +134,36 @@ def test_law_requires_irreducible_mutation():
     ident = mk(3, b=((1.0, 0.0), (0.0, 1.0)))
     with pytest.raises(ParamError, match="no unique stationary law"):
         finite_stationary_law(ident)
+
+
+def _every_type_reaches_every_other(b):
+    # breadth-first search from each type along the positive entries of b
+    d = len(b)
+    for u in range(d):
+        seen, queue = {u}, deque([u])
+        while queue:
+            v = queue.popleft()
+            for w in range(d):
+                if b[v][w] > 0 and w not in seen:
+                    seen.add(w)
+                    queue.append(w)
+        if len(seen) < d:
+            return False
+    return True
+
+
+def test_irreducible_matches_breadth_first_reachability():
+    rng = philox(130, 0)
+    verdicts = []
+    for _ in range(3000):
+        d = int(rng.integers(2, 7))
+        support = rng.random((d, d)) < rng.uniform(0.1, 0.7)
+        b = np.where(support, rng.random((d, d)), 0.0).tolist()
+        want = _every_type_reaches_every_other(b)
+        assert model._irreducible(b) is want, b
+        verdicts.append(want)
+    # both verdicts are well represented
+    assert 300 < sum(verdicts) < 2700
 
 
 def test_law_budget_refusal(monkeypatch):

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from scipy.stats import chi2
 
+import moranlines.forward as forward
 import moranlines.model as model
 import moranlines.transformed as transformed
 from moranlines import (BudgetError, ParamError, canonical_start,
@@ -432,9 +433,18 @@ def test_block_sampler_matches_per_path_sampler():
     (100, [1], "block index 1 outside the 1 blocks of 100 replicates"),
     (100, [-1], "block index -1 outside the 1 blocks of 100 replicates"),
     (-5, [0], "replicate count must be nonnegative"),
-], ids=["past_the_last", "negative_index", "negative_reps"])
-def test_block_samplers_refuse_blocks_outside_the_replicates(reps, blocks,
-                                                             match):
+    (100, [0, 1], "block index 1 outside the 1 blocks of 100 replicates"),
+], ids=["past_the_last", "negative_index", "negative_reps",
+        "after_a_valid_index"])
+def test_block_samplers_refuse_blocks_outside_the_replicates(
+        monkeypatch, reps, blocks, match):
+    # the block driver refuses before the conditioned sampler builds its
+    # horizon table, and before any agreement-time block runs
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the block check")
+
+    monkeypatch.setattr(transformed, "HTTable", no_work)
+    monkeypatch.setattr(forward, "_agreement_block", no_work)
     with pytest.raises(ParamError, match=match):
         conditioned_coalescence_times(mk(2, B=0.0), 1.0, reps, 5,
                                       {0: 0, 1: 0}, (0.5, 0.5), blocks)
