@@ -462,10 +462,6 @@ def test_cat_fixation_type_keeps_no_forest(monkeypatch):
     got = [cat_fixation_type(GUARD_P, 0.0, (0, 2, 1, 2), 0.3, philox(seed, 3))
            for seed in range(5)]
     assert got == [2, 2, 2, 0, 2]     # the pinned runs below
-    p = mk(60, B=1.0, b=((0.3, 0.7), (0.3, 0.7)), S=1.0)
-    rng = philox(1, 0)
-    assert cat_fixation_type(p, 0.0, rng.integers(0, 2, size=60), 0.0,
-                             rng) in (0, 1)
 
 
 def test_cat_fixation_type_draw_order_is_pinned():
